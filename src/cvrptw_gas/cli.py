@@ -84,9 +84,10 @@ def _cmd_verify_oracle(args) -> int:
             "assignments_checked": report.assignments_checked,
             "mismatches": report.mismatches,
             "dirty_ancillas": report.dirty_ancillas,
+            "decision_changed": report.decision_changed,
         }
     )
-    if report.mismatches or report.dirty_ancillas or report.decision_changed:
+    if not report.clean:
         _log("oracle disagrees with the reference predicate")
         return EXIT_MISMATCH
     return EXIT_OK

@@ -8,15 +8,23 @@ needs far more qubits than a dense statevector can hold even for toy
 instances, so the statevector path exists only to validate that closed form
 on small synthetic oracles.
 
-Marked counts come from a classical sweep of the decision space. The sweep is
-vectorized and cached per instance as a (feasible index, cost) table; every
-threshold count and every uniform marked-state draw derives from that one
-scan. The scalar :func:`cvrptw_gas.oracle.mark_predicate` stays the ground
-truth the vectorized sweep is tested against.
+Marked counts come from a classical sweep of the decision space. Malformed
+codes (a repeated or out-of-range customer, a clear final split bit) are never
+marked, so the sweep visits only the n! * 2^(n-1) well-formed candidates, a
+tour times a split vector ending in 1, while N stays 2^decision_bits. It is
+vectorized over blocks of tours and cached per instance as a (feasible index,
+cost) table sorted by index; every threshold count and every uniform
+marked-state draw derives from that one table. A candidate cap of
+:data:`CANDIDATE_CAP` admits n <= 8 (5,160,960 candidates) and refuses n = 9
+before anything is allocated. The scalar
+:func:`cvrptw_gas.oracle.mark_predicate` and
+:func:`cvrptw_gas.classical.feasible_and_cost` stay the ground truths the
+sweep is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,8 +43,10 @@ from .instance import Instance, RouteSet, decode_assignment
 from .oracle import unpack_assignment
 from .resources import cost_upper_bound, register_widths
 
-ENUMERATION_CAP_BITS = 26
-_SCAN_CHUNK_BITS = 20
+# Most well-formed candidates the sweep takes: n = 8 has 5,160,960, n = 9 has 92,897,280.
+CANDIDATE_CAP = 1 << 23
+# (tour, split) cells per sweep block; bounds the working memory beside the kept table.
+_BLOCK_ROWS = 1 << 18
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -79,69 +89,47 @@ def success_probability(N: int, M: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact marked counts via a vectorized sweep of the decision space
+# Exact marked counts via a vectorized sweep of the well-formed candidates
 
 
-def _feasible_chunk(inst: Instance, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(feasible mask, cost) for assignment indices start..start+count-1."""
+def candidate_count(n: int) -> int:
+    """Well-formed assignments of n customers: n! tours times the 2^(n-1)
+    split vectors whose final bit is set."""
+    return math.factorial(n) << (n - 1)
+
+
+def _feasible_block(inst: Instance, tours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(feasible mask, cost) for a block of tours under every split vector.
+
+    Row r is tour ``tours[r]``. Column j holds the interior split bits
+    y[i] = (j >> i) & 1; the final bit is always set. The split axis doubles
+    at each position, once y[i - 1] is known: its lower half continues the
+    route (y[i - 1] = 0), its upper half returns through the depot first.
+    """
     n = inst.n
-    b_node = register_widths(inst).b_node
-    mask = (1 << b_node) - 1
-    idx = np.arange(start, start + count, dtype=np.int64)
-    P = [(idx >> (b_node * i)) & mask for i in range(n)]
-    y = [((idx >> (n * b_node + i)) & 1).astype(bool) for i in range(n)]
-
-    ok = y[n - 1].copy()
-    for i in range(n):
-        ok &= (P[i] >= 1) & (P[i] <= n)
-    occupied = np.zeros(count, dtype=np.int64)
-    for i in range(n):
-        occupied |= np.int64(1) << P[i]
-    ok &= np.bitwise_count(occupied).astype(np.int64) == n
-
-    demand = np.zeros(mask + 1, dtype=np.int64)
-    demand[1 : n + 1] = inst.q[1:]
-    load = demand[P[0]]
-    ok &= load <= inst.c_max
+    q = np.asarray(inst.q, dtype=np.int64)
+    D = np.asarray(inst.D, dtype=np.int64)
+    first = tours[:, :1]
+    load = q[first]
+    ok = load <= inst.c_max
+    cost = D[0, first]
+    timed = not inst.windows_vacuous
+    if timed:
+        T = np.asarray(inst.T, dtype=np.int64)
+        opening = np.asarray([a for a, _ in inst.windows], dtype=np.int64)
+        closing = np.asarray([b for _, b in inst.windows], dtype=np.int64)
+        clock = np.maximum(opening[first], T[0, first])
+        ok &= clock <= closing[first]
     for i in range(1, n):
-        load = demand[P[i]] + np.where(y[i - 1], 0, load)
-        ok &= load <= inst.c_max
-
-    if not inst.windows_vacuous:
-        side = mask + 1
-        from_depot = np.zeros(side, dtype=np.int64)
-        opening = np.zeros(side, dtype=np.int64)
-        closing = np.zeros(side, dtype=np.int64)
-        for v in inst.customers:
-            from_depot[v] = inst.T[0][v]
-            opening[v], closing[v] = inst.windows[v]
-        leg = np.zeros(side * side, dtype=np.int64)
-        for u in inst.customers:
-            for v in inst.customers:
-                leg[u * side + v] = inst.T[u][v]
-        clock = np.maximum(opening[P[0]], from_depot[P[0]])
-        ok &= clock <= closing[P[0]]
-        for i in range(1, n):
-            direct = clock + leg[P[i - 1] * side + P[i]]
-            arrive = np.where(y[i - 1], from_depot[P[i]], direct)
-            clock = np.maximum(opening[P[i]], arrive)
-            ok &= clock <= closing[P[i]]
-
-    side = mask + 1
-    to_first = np.zeros(side, dtype=np.int64)
-    back_home = np.zeros(side, dtype=np.int64)
-    for v in inst.customers:
-        to_first[v] = inst.D[0][v]
-        back_home[v] = inst.D[v][0]
-    pair = np.zeros(side * side, dtype=np.int64)
-    for u in inst.customers:
-        for v in inst.customers:
-            pair[u * side + v] = inst.D[u][v]
-    cost = to_first[P[0]]
-    for i in range(1, n):
-        cost = cost + np.where(y[i - 1], back_home[P[i - 1]] + to_first[P[i]], pair[P[i - 1] * side + P[i]])
-    cost = cost + back_home[P[n - 1]]
-    return ok, cost
+        prev, node = tours[:, i - 1 : i], tours[:, i : i + 1]
+        load = q[node] + np.concatenate([load, np.zeros_like(load)], axis=1)
+        ok = np.concatenate([ok, ok], axis=1) & (load <= inst.c_max)
+        if timed:
+            arrive = np.concatenate([clock + T[prev, node], np.broadcast_to(T[0, node], clock.shape)], axis=1)
+            clock = np.maximum(opening[node], arrive)
+            ok &= clock <= closing[node]
+        cost = np.concatenate([cost + D[prev, node], cost + D[prev, 0] + D[0, node]], axis=1)
+    return ok, cost + D[tours[:, -1:], 0]
 
 
 @dataclass(frozen=True)
@@ -170,21 +158,30 @@ class FeasibleTable:
 
 @lru_cache(maxsize=8)
 def feasible_table(inst: Instance) -> FeasibleTable:
-    space = search_space(inst)
-    if space.decision_bits > ENUMERATION_CAP_BITS:
-        raise ValueError(f"decision space beyond the {ENUMERATION_CAP_BITS}-bit enumeration cap")
-    chunk = 1 << min(_SCAN_CHUNK_BITS, space.decision_bits)
+    n = inst.n
+    candidates = candidate_count(n)
+    if candidates > CANDIDATE_CAP:
+        raise ValueError(f"{candidates} well-formed candidates (n={n}) exceed the candidate cap of {CANDIDATE_CAP}")
+    b_node = register_widths(inst).b_node
+    shifts = b_node * np.arange(n, dtype=np.int64)
+    splits = (np.arange(1 << (n - 1), dtype=np.int64) | (1 << (n - 1))) << (n * b_node)
+    per_block = max(1, _BLOCK_ROWS >> (n - 1))
+    tours = itertools.permutations(range(1, n + 1))
     kept_idx = []
     kept_cost = []
-    for start in range(0, space.N, chunk):
-        ok, cost = _feasible_chunk(inst, start, min(chunk, space.N - start))
-        where = np.nonzero(ok)[0]
-        kept_idx.append(where + start)
-        kept_cost.append(cost[where])
+    while chunk := list(itertools.islice(tours, per_block)):
+        block = np.array(chunk, dtype=np.int64)
+        ok, cost = _feasible_block(inst, block)
+        rows, cols = np.nonzero(ok)
+        kept_idx.append(np.bitwise_or.reduce(block << shifts, axis=1)[rows] | splits[cols])
+        kept_cost.append(cost[rows, cols])
+    indices, costs = np.concatenate(kept_idx), np.concatenate(kept_cost)
+    del kept_idx, kept_cost  # an n = 8 table can keep 5 M rows; sort without the block copies
+    order = np.argsort(indices)
     return FeasibleTable(
-        decision_bits=space.decision_bits,
-        indices=np.concatenate(kept_idx),
-        costs=np.concatenate(kept_cost),
+        decision_bits=search_space(inst).decision_bits,
+        indices=indices[order],
+        costs=costs[order],
     )
 
 

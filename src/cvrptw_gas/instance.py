@@ -128,11 +128,27 @@ def decode_assignment(inst: Instance, P, y) -> RouteSet:
     return RouteSet(tuple(routes))
 
 
+def _integer(value, label: str) -> int:
+    # JSON true/false arrive as bool, a subclass of int; neither they nor
+    # floats such as 4.7 may be read as integers.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{label} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _array(value, label: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError(f"{label} must be an array, not {json.dumps(value)}")
+    return value
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate a JSON instance document.
 
     Defaults: the travel-time matrix falls back to the distance matrix, and
-    missing windows become (0, sentinel) which never binds.
+    missing windows become (0, sentinel) which never binds. Every number must
+    be a JSON integer; anything else of the wrong shape or type raises
+    :class:`InstanceError`.
     """
     try:
         doc = json.loads(text)
@@ -140,33 +156,37 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
-    try:
-        n = int(doc["n"])
-        c_max = int(doc["c_max"])
-        distance = doc["distance"]
-        demands = doc["demands"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"missing or malformed required field: {exc}") from exc
+    for key in ("n", "c_max", "distance", "demands"):
+        if key not in doc:
+            raise InstanceError(f"missing required field: {key}")
+    n = _integer(doc["n"], "n")
+    c_max = _integer(doc["c_max"], "c_max")
+    if n < 1:
+        raise InstanceError("instance needs at least one customer")
 
     def as_matrix(raw, label: str) -> tuple[tuple[int, ...], ...]:
-        if not isinstance(raw, list):
-            raise InstanceError(f"{label} must be an array of arrays")
-        try:
-            return tuple(tuple(int(v) for v in row) for row in raw)
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"{label} entries must be integers") from exc
+        return tuple(
+            tuple(_integer(v, f"{label} entry") for v in _array(row, f"{label} row")) for row in _array(raw, label)
+        )
 
-    D = as_matrix(distance, "distance")
+    D = as_matrix(doc["distance"], "distance")
     T = as_matrix(doc["time"], "time") if doc.get("time") is not None else D
+    demands = _array(doc["demands"], "demands")
     if len(demands) != n:
         raise InstanceError("demands must list one value per customer")
-    q = (0, *(int(v) for v in demands))
+    q = (0, *(_integer(v, "demand") for v in demands))
 
     if doc.get("windows") is not None:
-        raw_windows = doc["windows"]
+        raw_windows = _array(doc["windows"], "windows")
         if len(raw_windows) != n:
             raise InstanceError("windows must list one [a, b] pair per customer")
-        pairs = tuple((int(a), int(b)) for a, b in raw_windows)
+
+        def as_pair(raw) -> tuple[int, int]:
+            if len(_array(raw, "window")) != 2:
+                raise InstanceError(f"window must be an [a, b] pair, not {json.dumps(raw)}")
+            return _integer(raw[0], "window bound"), _integer(raw[1], "window bound")
+
+        pairs = tuple(as_pair(raw) for raw in raw_windows)
     else:
         max_travel = max((v for row in T for v in row), default=0)
         sentinel = time_sentinel(n, max_travel)

@@ -1,6 +1,7 @@
 """Shared instances and helpers for the test suite."""
 
 import json
+import random
 
 import pytest
 
@@ -74,6 +75,31 @@ def vacuous3():
             "demands": [2, 1, 2],
         }
     )
+
+
+def binding_instance(rng, n):
+    """A random instance where capacity and windows both reject candidates and
+    some windows open after the earliest arrival, so waiting delays the rest
+    of a route. Single-customer routes stay feasible."""
+    side = n + 1
+    D = [[0 if i == j else rng.randint(1, 9) for j in range(side)] for i in range(side)]
+    c_max = rng.randint(3, 6)
+    demands = [rng.randint(1, c_max) for _ in range(n)]
+    windows = []
+    for i in range(1, side):
+        opening = max(0, D[0][i] + rng.randint(-3, 8))
+        windows.append([opening, opening + rng.randint(4, 25)])
+    return make_instance({"n": n, "c_max": c_max, "distance": D, "demands": demands, "windows": windows})
+
+
+@pytest.fixture(scope="session")
+def bound7():
+    return binding_instance(random.Random(7), 7)
+
+
+@pytest.fixture(scope="session")
+def bound8():
+    return binding_instance(random.Random(8), 8)
 
 
 def random_instance(rng, n, with_windows):

@@ -77,6 +77,27 @@ def test_infeasible_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("demands", 5, "demands must be an array"),
+        ("windows", [3, 4], "window must be an array"),
+        ("distance", [[0, 1, 4.7], [1, 0, 1], [2, 1, 0]], "distance entry must be an integer, not 4.7"),
+        ("demands", [True, 1], "demand must be an integer, not true"),
+    ],
+)
+def test_malformed_document_exit_code(capsys, tmp_path, field, value, message):
+    doc = {"n": 2, "c_max": 3, "distance": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}
+    doc[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", str(path), "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_budget_exit_code(capsys, example_path):
     code, _, _ = run_cli(capsys, "solve", example_path, "--seed", "1", "--budget", "1")
     assert code == 4
@@ -95,6 +116,7 @@ def test_verify_oracle_exhaustive(capsys, small_path):
     assert doc["assignments_checked"] == 512
     assert doc["mismatches"] == 0
     assert doc["dirty_ancillas"] == 0
+    assert doc["decision_changed"] == 0
 
 
 def test_verify_oracle_sample_mode(capsys, example_path):
@@ -105,6 +127,7 @@ def test_verify_oracle_sample_mode(capsys, example_path):
     doc = json.loads(out)
     assert doc["assignments_checked"] == 2000
     assert doc["mismatches"] == 0
+    assert doc["decision_changed"] == 0
 
 
 def test_verify_oracle_refuses_large_exhaustive(capsys, tmp_path):

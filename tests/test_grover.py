@@ -1,15 +1,22 @@
 """Marked counting, the closed-form success probability, threshold search,
 adaptive minimization, and statevector cross-validation."""
 
+import collections
+import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from cvrptw_gas.classical import InfeasibleError, brute_force_optimum
+from cvrptw_gas.classical import InfeasibleError, brute_force_optimum, feasible_and_cost, tour_cost
+from cvrptw_gas.cli import main
 from cvrptw_gas.grover import (
+    CANDIDATE_CAP,
     BudgetExhaustedError,
     GasConfig,
+    candidate_count,
     count_marked,
     feasible_table,
     gas_minimize,
@@ -19,7 +26,7 @@ from cvrptw_gas.grover import (
     success_probability,
     synthetic_marking_oracle,
 )
-from cvrptw_gas.oracle import mark_predicate, unpack_assignment
+from cvrptw_gas.oracle import mark_predicate, pack_assignment, unpack_assignment
 from cvrptw_gas.resources import register_widths
 
 from conftest import make_instance
@@ -38,12 +45,12 @@ def test_count_marked_vacuous_instance(vacuous3):
         assert mark_predicate(vacuous3, 10**6, P, y).marked
 
 
-def test_count_marked_agrees_with_predicate_scan(cap_bound3, window_bound3):
+def test_count_marked_agrees_with_predicate_scan(cap_bound3, window_bound3, mixed4):
     """The vectorized sweep must match a direct scalar sweep exactly."""
-    for inst in (cap_bound3, window_bound3):
+    for inst in (cap_bound3, window_bound3, mixed4):
         b_node = register_widths(inst).b_node
         space = search_space(inst)
-        for k in (0, 12, 17, 10**6):
+        for k in (0, 12, 17, 37, 10**6):
             direct = sum(
                 mark_predicate(inst, k, *unpack_assignment(inst.n, b_node, s)).marked
                 for s in range(space.N)
@@ -51,8 +58,9 @@ def test_count_marked_agrees_with_predicate_scan(cap_bound3, window_bound3):
             assert count_marked(inst, k)[0] == direct
 
 
-def test_count_marked_cap():
-    inst = make_instance(
+def slack7():
+    """n=7 with slack capacity and no windows: every candidate is feasible."""
+    return make_instance(
         {
             "n": 7,
             "c_max": 7,
@@ -60,9 +68,78 @@ def test_count_marked_cap():
             "demands": [1] * 7,
         }
     )
-    # 7 * 3 + 7 = 28 decision bits exceeds the enumeration cap
-    with pytest.raises(ValueError, match="cap"):
-        count_marked(inst, 5)
+
+
+def test_count_marked_exact_at_n7():
+    inst = slack7()
+    assert search_space(inst).decision_bits == 28
+    hist = collections.Counter(
+        tour_cost(inst, P, (*interior, 1))
+        for P in itertools.permutations(range(1, 8))
+        for interior in itertools.product((0, 1), repeat=6)
+    )
+    assert sum(hist.values()) == candidate_count(7) == 322_560
+    for k in range(min(hist), max(hist) + 2):
+        assert count_marked(inst, k)[0] == sum(m for cost, m in hist.items() if cost < k)
+
+
+def test_candidate_cap_refuses_n9(tmp_path, capsys):
+    doc = {
+        "n": 9,
+        "c_max": 9,
+        "distance": [[0 if i == j else 1 + (i + j) % 4 for j in range(10)] for i in range(10)],
+        "demands": [1] * 9,
+    }
+    count = candidate_count(9)
+    assert count == 92_897_280 > CANDIDATE_CAP >= candidate_count(8)
+    with pytest.raises(ValueError, match=f"{count} .* candidate cap of {CANDIDATE_CAP}"):
+        count_marked(make_instance(doc), 5)
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--method", "gas", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"candidate cap of {CANDIDATE_CAP}" in captured.err
+
+
+def test_sweep_table_digest_six_customer(example6):
+    """Frozen from the sweep that decoded and filtered all 2^24 indices."""
+    table = feasible_table(example6)
+    assert table.indices.dtype == table.costs.dtype == np.int64
+    digest = hashlib.sha256(table.indices.astype("<i8").tobytes() + table.costs.astype("<i8").tobytes())
+    assert len(table.indices) == 6624
+    assert digest.hexdigest() == "a29dfe068dc4d1333cf98310a1b05bb76e61e22d944c8fbef668b78c08654258"
+
+
+@pytest.mark.parametrize("name", ["bound7", "bound8"])
+def test_sweep_matches_feasible_and_cost_sampled(name, request):
+    """Seeded well-formed candidates: in the table, at the same cost, exactly
+    when the classical recurrences call them feasible."""
+    inst = request.getfixturevalue(name)
+    n = inst.n
+    b_node = register_widths(inst).b_node
+    table = feasible_table(inst)
+    assert np.all(np.diff(table.indices) > 0)
+    rng = np.random.default_rng(n)
+    verdicts = collections.Counter()
+    for _ in range(2000):
+        P = (rng.permutation(n) + 1).tolist()
+        y = (*rng.integers(0, 2, n - 1).tolist(), 1)
+        report = feasible_and_cost(inst, P, y)
+        verdicts[report.violation] += 1
+        index = pack_assignment(n, b_node, P, y)
+        pos = int(np.searchsorted(table.indices, index))
+        found = pos < len(table.indices) and int(table.indices[pos]) == index
+        assert found == report.feasible, (P, y)
+        if found:
+            assert int(table.costs[pos]) == report.cost, (P, y)
+    assert set(verdicts) == {None, "capacity", "time"}
+
+
+def test_gas_matches_brute_force_n7(bound7):
+    _, _, opt = brute_force_optimum(bound7)
+    for seed in range(3):
+        assert gas_minimize(bound7, GasConfig(rng_seed=seed)).cost == opt
 
 
 def test_success_probability_closed_form():

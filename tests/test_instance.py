@@ -77,6 +77,45 @@ def test_malformed_documents_rejected(bad):
         parse_instance(bad)
 
 
+SQUARE2 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"n": 2, "c_max": 3, "distance": SQUARE2, "demands": 5}, "demands must be an array"),
+        ({"n": 2, "c_max": 3, "distance": SQUARE2, "demands": [1, 1], "windows": [3, 4]}, "window must be an array"),
+        ({"n": 2, "c_max": 3, "distance": SQUARE2, "demands": [1, 1], "windows": [[0, 9, 1], [0, 9]]}, "pair"),
+        ({"n": 2, "c_max": 3, "distance": [[0, 1, 2], 7, [2, 1, 0]], "demands": [1, 1]}, "distance row"),
+    ],
+)
+def test_wrong_shapes_rejected(doc, message):
+    with pytest.raises(InstanceError, match=message):
+        parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"n": 2, "c_max": 3, "distance": [[0, 1, 4.7], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}, "distance entry"),
+        ({"n": 2, "c_max": 3, "distance": SQUARE2, "demands": [True, 1]}, "demand"),
+        ({"n": 2, "c_max": 3.0, "distance": SQUARE2, "demands": [1, 1]}, "c_max"),
+        ({"n": "2", "c_max": 3, "distance": SQUARE2, "demands": [1, 1]}, "n must be an integer"),
+        ({"n": 2, "c_max": 3, "distance": SQUARE2, "demands": [1, 1], "windows": [[0, 9.5], [0, 9]]}, "window bound"),
+    ],
+)
+def test_non_integer_values_rejected_not_truncated(doc, message):
+    with pytest.raises(InstanceError, match=message):
+        parse_instance(json.dumps(doc))
+
+
+def test_missing_field_and_empty_instance_rejected():
+    with pytest.raises(InstanceError, match="missing required field: demands"):
+        parse_instance(json.dumps({"n": 1, "c_max": 3, "distance": [[0, 1], [1, 0]]}))
+    with pytest.raises(InstanceError, match="at least one customer"):
+        parse_instance(json.dumps({"n": 0, "c_max": 3, "distance": [[0]], "demands": []}))
+
+
 def test_serialize_parse_round_trip(example6, mixed4):
     for inst in (example6, mixed4):
         assert parse_instance(serialize_instance(inst)) == inst
