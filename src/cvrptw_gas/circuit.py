@@ -217,14 +217,20 @@ def enumeration_columns(bit_count: int) -> list[int]:
     """Columns enumerating all ``2**bit_count`` assignments of the given bits.
 
     Bit s of column j equals bit j of the integer s, so state s carries the
-    binary expansion of its own index.
+    binary expansion of its own index. Each column repeats a byte pattern
+    (2^j clear bits, then 2^j set ones), so it is built in linear time.
     """
     total = 1 << bit_count
-    full = (1 << total) - 1
+    nbytes = (total + 7) // 8
+    full = (1 << total) - 1  # trims the one-byte patterns when total < 8
     cols = []
     for j in range(bit_count):
-        period = 1 << j
-        cols.append((full // ((1 << period) + 1)) << period)
+        if j < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[j]])
+        else:
+            half = 1 << (j - 3)
+            pattern = b"\x00" * half + b"\xff" * half
+        cols.append(int.from_bytes(pattern * (nbytes // len(pattern)), "little") & full)
     return cols
 
 
@@ -293,7 +299,9 @@ def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
     state = np.asarray(amplitudes, dtype=complex)
     if state.shape != (1 << n,):
         raise CircuitError("amplitude vector length must be 2**qubit_count")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+    # Not np.linalg.norm: its BLAS dot wakes OpenBLAS's worker threads, which
+    # then busy-wait for about 0.1 s and slow whatever this process runs next.
+    if abs(np.sqrt(np.sum(state.real**2 + state.imag**2)) - 1.0) > 1e-12:
         raise CircuitError("input state is not normalized")
     state = state.copy().reshape([2] * n)
 

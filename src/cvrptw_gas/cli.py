@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import classical, grover, oracle, resources
-from .instance import Instance, InstanceError, decode_assignment, parse_instance
+from .instance import Instance, InstanceError, decode_assignment, pack_assignment, parse_instance
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -65,6 +65,21 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
+    """``samples`` seeded assignment indices: the first half uniform over the
+    whole decision space, the rest well-formed candidates (a customer
+    permutation and interior split bits, final bit set)."""
+    n = inst.n
+    b_node = resources.register_widths(inst).b_node
+    rng = np.random.default_rng(seed)
+    formed = samples // 2
+    uniform = rng.integers(0, 1 << (n * b_node + n), size=samples - formed, dtype=np.int64)
+    tours = np.argsort(rng.random((formed, n)), axis=1) + 1
+    splits = rng.integers(0, 2, size=(formed, n - 1))
+    packed = [pack_assignment(n, b_node, P, (*y, 1)) for P, y in zip(tours.tolist(), splits.tolist())]
+    return np.concatenate([uniform, np.array(packed, dtype=np.int64)])
+
+
 def _cmd_verify_oracle(args) -> int:
     inst = _load_instance(args.instance)
     layout = oracle.build_layout(inst, args.k)
@@ -76,9 +91,7 @@ def _cmd_verify_oracle(args) -> int:
             )
         report = oracle.equivalence_scan(inst, args.k)
     else:
-        rng = np.random.default_rng(args.seed or 0)
-        indices = rng.integers(0, 1 << layout.decision_bits, size=args.samples, dtype=np.int64)
-        report = oracle.equivalence_scan(inst, args.k, indices=indices)
+        report = oracle.equivalence_scan(inst, args.k, indices=sample_indices(inst, args.samples, args.seed or 0))
     _emit(
         {
             "assignments_checked": report.assignments_checked,
@@ -88,7 +101,7 @@ def _cmd_verify_oracle(args) -> int:
         }
     )
     if not report.clean:
-        _log("oracle disagrees with the reference predicate")
+        _log("oracle disagrees with the reference marks")
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -176,11 +189,27 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--initial-k", type=int, default=None, dest="initial_k")
     solve.set_defaults(run=_cmd_solve)
 
-    verify = sub.add_parser("verify-oracle", help="compare the circuit with the reference predicate")
+    verify = sub.add_parser(
+        "verify-oracle",
+        help="compare the circuit with the vectorized reference",
+        description="Run the oracle circuit over basis states, in chunks of 2^16, and compare its marks "
+        "with the vectorized reference (the feasible-table sweep's recurrences). Every working register "
+        "must return to zero and every decision bit must be unchanged.",
+    )
     verify.add_argument("instance")
     verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    verify.add_argument("--samples", type=int, default=100_000)
+    verify.add_argument(
+        "--mode",
+        choices=("exhaustive", "sample"),
+        default="exhaustive",
+        help="exhaustive: every assignment, up to 26 decision bits; sample: seeded indices",
+    )
+    verify.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help="sample mode: half uniform indices, half well-formed candidates",
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(run=_cmd_verify_oracle)
 

@@ -39,8 +39,7 @@ from .circuit import (
     eval_statevector,
 )
 from .classical import InfeasibleError, feasible_and_cost
-from .instance import Instance, RouteSet, decode_assignment
-from .oracle import unpack_assignment
+from .instance import Instance, RouteSet, decode_assignment, unpack_assignment
 from .resources import cost_upper_bound, register_widths
 
 # Most well-formed candidates the sweep takes: n = 8 has 5,160,960, n = 9 has 92,897,280.

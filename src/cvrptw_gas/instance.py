@@ -128,6 +128,24 @@ def decode_assignment(inst: Instance, P, y) -> RouteSet:
     return RouteSet(tuple(routes))
 
 
+def pack_assignment(n: int, b_node: int, P, y) -> int:
+    """Assignment index of a raw decoding: tour entry i in bits
+    [i * b_node, (i + 1) * b_node), then split bit i at bit n * b_node + i."""
+    idx = 0
+    for i, v in enumerate(P):
+        idx |= int(v) << (b_node * i)
+    for i, bit in enumerate(y):
+        idx |= int(bit) << (n * b_node + i)
+    return idx
+
+
+def unpack_assignment(n: int, b_node: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    mask = (1 << b_node) - 1
+    P = tuple((index >> (b_node * i)) & mask for i in range(n))
+    y = tuple((index >> (n * b_node + i)) & 1 for i in range(n))
+    return P, y
+
+
 def _integer(value, label: str) -> int:
     # JSON true/false arrive as bool, a subclass of int; neither they nor
     # floats such as 4.7 may be read as integers.

@@ -23,11 +23,16 @@ Two bookkeeping details go beyond the obvious translation of the recurrences:
 
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
-references so equivalence scans are meaningful.
+references. ``equivalence_scan`` checks the circuit against
+``reference_marks``, a vectorized twin that runs the feasible-table sweep's
+recurrences (``grover._feasible_block``) on the well-formed assignments of
+each chunk of states; that reference is itself tested index by index against
+``mark_predicate``.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +46,8 @@ from .circuit import (
     eval_basis_batch,
     inverse,
 )
-from .instance import Instance
+from .grover import _BLOCK_ROWS, _feasible_block
+from .instance import Instance, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
 from .qarith import (
     build_adder,
     build_and_reduce,
@@ -56,6 +62,9 @@ from .qarith import (
 from .resources import RegisterWidths, register_widths
 
 EXHAUSTIVE_SCAN_CAP_BITS = 26
+# States per circuit run in a scan: the batch evaluator is fastest near 2^16
+# states, and an exhaustive scan holds qubits x 8 KB of columns at a time.
+_SCAN_CHUNK_BITS = 16
 
 
 class LayoutError(ValueError):
@@ -487,24 +496,42 @@ def mark_predicate(inst: Instance, k, P, y) -> MarkResult:
     return MarkResult(True, total, None)
 
 
-def pack_assignment(n: int, b_node: int, P, y) -> int:
-    idx = 0
-    for i, v in enumerate(P):
-        idx |= int(v) << (b_node * i)
-    for i, bit in enumerate(y):
-        idx |= int(bit) << (n * b_node + i)
-    return idx
+def reference_marks(inst: Instance, k, indices) -> np.ndarray:
+    """Vectorized twin of :func:`mark_predicate` over assignment indices.
 
-
-def unpack_assignment(n: int, b_node: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    mask = (1 << b_node) - 1
-    P = tuple((index >> (b_node * i)) & mask for i in range(n))
-    y = tuple((index >> (n * b_node + i)) & 1 for i in range(n))
-    return P, y
+    An index is well-formed when its tour codes are a permutation of the
+    customers and its final split bit is set; malformed ones are unmarked.
+    The distinct well-formed tours run through the sweep's recurrences in
+    blocks of at most ``_BLOCK_ROWS`` (tour, split) cells, and an index is
+    marked when its split column is feasible and costs less than ``k``.
+    """
+    n = inst.n
+    b_node = register_widths(inst).b_node
+    code_mask = (1 << b_node) - 1
+    tour_bits = n * b_node
+    shifts = b_node * np.arange(n, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    # n codes cover exactly the customers 1..n when their one-hot bits do.
+    seen = np.zeros_like(indices)
+    for shift in shifts.tolist():
+        seen |= 1 << ((indices >> shift) & code_mask)
+    formed = (seen == (1 << (n + 1)) - 2) & ((indices >> (tour_bits + n - 1)) & 1 == 1)
+    rows = np.flatnonzero(formed)
+    tour_keys, tour_of = np.unique(indices[rows] & ((1 << tour_bits) - 1), return_inverse=True)
+    split_col = (indices[rows] >> tour_bits) & ((1 << (n - 1)) - 1)
+    marks = np.zeros(len(indices), dtype=bool)
+    per_block = max(1, _BLOCK_ROWS >> (n - 1))
+    for start in range(0, len(tour_keys), per_block):
+        tours = (tour_keys[start : start + per_block, None] >> shifts) & code_mask
+        ok, cost = _feasible_block(inst, tours)
+        sel = (tour_of >= start) & (tour_of < start + per_block)
+        r, c = tour_of[sel] - start, split_col[sel]
+        marks[rows[sel]] = ok[r, c] & (cost[r, c] < k)
+    return marks
 
 
 # ---------------------------------------------------------------------------
-# Circuit-vs-predicate verification
+# Circuit-vs-reference verification
 
 
 @dataclass(frozen=True)
@@ -519,50 +546,79 @@ class ScanReport:
         return self.mismatches == 0 and self.dirty_ancillas == 0 and self.decision_changed == 0
 
 
+def _scan_chunks(bits: int, indices):
+    """(indices, decision columns) per circuit run, at most 2^_SCAN_CHUNK_BITS
+    states each. An exhaustive scan (``indices`` None) enumerates the low
+    decision bits once; the high ones are constant within a chunk."""
+    size = 1 << _SCAN_CHUNK_BITS
+    if indices is not None:
+        for start in range(0, len(indices), size):
+            chunk = indices[start : start + size]
+            yield chunk, columns_from_indices(chunk, bits)
+        return
+    low = min(bits, _SCAN_CHUNK_BITS)
+    low_cols = enumeration_columns(low)
+    count = 1 << low
+    full = (1 << count) - 1
+    for high in range(1 << (bits - low)):
+        high_cols = [full if (high >> j) & 1 else 0 for j in range(bits - low)]
+        yield (high << low) + np.arange(count, dtype=np.int64), low_cols + high_cols
+
+
 def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
-    """Run the oracle over basis states and compare with the predicate.
+    """Run the oracle over basis states and compare its marks with
+    :func:`reference_marks`.
 
     ``indices`` selects the assignments to check; None means all of them
-    (refused above :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits). Working
-    registers start at zero; afterwards every one of them must read zero and
-    the decision bits must be unchanged.
+    (refused above :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits). The states
+    run through the circuit in chunks of 2^_SCAN_CHUNK_BITS. Working registers
+    start at zero; afterwards every one of them must read zero and the
+    decision bits must be unchanged.
     """
+    # The cyclic collector is paused for the scan. The oracle (thousands of
+    # gates) lives until the scan returns and holds no reference cycles, so a
+    # collection in between would only promote it and, now and then, sweep the
+    # whole heap in the middle of the scan. It is freed before the collector
+    # resumes.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _scan(inst, k, indices)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _scan(inst: Instance, k: int, indices) -> ScanReport:
     layout = build_layout(inst, k)
     circuit = build_oracle(inst, k)
     bits = layout.decision_bits
     if indices is None:
         if bits > EXHAUSTIVE_SCAN_CAP_BITS:
             raise ValueError(f"exhaustive scan refused beyond {EXHAUSTIVE_SCAN_CAP_BITS} decision bits")
-        count = 1 << bits
-        decision_cols = enumeration_columns(bits)
-        index_list = np.arange(count, dtype=np.int64)
     else:
-        index_list = np.asarray(list(indices), dtype=np.int64)
-        count = len(index_list)
-        decision_cols = columns_from_indices(index_list, bits)
-
-    columns = decision_cols + [0] * (layout.qubit_count - bits)
-    out_cols = eval_basis_batch(circuit, columns, count)
-
-    circuit_marks = column_bits(out_cols[layout.marked], count)
-    predicted = np.zeros(count, dtype=bool)
-    n, b_node = inst.n, layout.widths.b_node
-    for s, idx in enumerate(index_list):
-        P, y = unpack_assignment(n, b_node, int(idx))
-        predicted[s] = mark_predicate(inst, k, P, y).marked
-    mismatches = int((circuit_marks != predicted).sum())
-
-    dirty = 0
-    for qb in range(bits, layout.qubit_count):
-        if qb != layout.marked:
-            dirty |= out_cols[qb]
-    changed = 0
-    for qb in range(bits):
-        changed |= out_cols[qb] ^ columns[qb]
-    full = (1 << count) - 1
+        indices = np.asarray(list(indices), dtype=np.int64)
+    checked = mismatches = dirty_states = changed_states = 0
+    for chunk, decision_cols in _scan_chunks(bits, indices):
+        count = len(chunk)
+        columns = decision_cols + [0] * (layout.qubit_count - bits)
+        out_cols = eval_basis_batch(circuit, columns, count)
+        circuit_marks = column_bits(out_cols[layout.marked], count)
+        mismatches += int((circuit_marks != reference_marks(inst, k, chunk)).sum())
+        dirty = 0
+        for qb in range(bits, layout.qubit_count):
+            if qb != layout.marked:
+                dirty |= out_cols[qb]
+        changed = 0
+        for qb in range(bits):
+            changed |= out_cols[qb] ^ columns[qb]
+        full = (1 << count) - 1
+        checked += count
+        dirty_states += int(dirty & full).bit_count()
+        changed_states += int(changed & full).bit_count()
     return ScanReport(
-        assignments_checked=count,
+        assignments_checked=checked,
         mismatches=mismatches,
-        dirty_ancillas=int(dirty & full).bit_count(),
-        decision_changed=int(changed & full).bit_count(),
+        dirty_ancillas=dirty_states,
+        decision_changed=changed_states,
     )

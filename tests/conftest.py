@@ -1,15 +1,48 @@
 """Shared instances and helpers for the test suite."""
 
+import functools
 import json
 import random
 
+import numpy as np
 import pytest
 
-from cvrptw_gas.instance import parse_instance, six_customer_example
+from cvrptw_gas.instance import parse_instance, six_customer_example, unpack_assignment
+from cvrptw_gas.oracle import mark_predicate
+from cvrptw_gas.resources import register_widths
 
 
 def make_instance(doc: dict):
     return parse_instance(json.dumps(doc))
+
+
+@functools.lru_cache(maxsize=None)
+def predicate_marks(inst, k) -> np.ndarray:
+    """``mark_predicate`` at threshold ``k`` on every assignment index, in
+    index order; cached because several tests scan the same fixtures."""
+    n, b_node = inst.n, register_widths(inst).b_node
+    bits = n * b_node + n
+    return np.array([mark_predicate(inst, k, *unpack_assignment(n, b_node, s)).marked for s in range(1 << bits)])
+
+
+@pytest.fixture(scope="session")
+def single_customer():
+    """n = 1: no pair flags and no overflow registers."""
+    return make_instance({"n": 1, "c_max": 2, "distance": [[0, 7], [7, 0]], "demands": [1]})
+
+
+@pytest.fixture(scope="session")
+def windowed_pair():
+    """n = 2 whose first customer's window opens after the earliest arrival."""
+    return make_instance(
+        {
+            "n": 2,
+            "c_max": 5,
+            "distance": [[0, 5, 9], [5, 0, 4], [9, 4, 0]],
+            "demands": [1, 1],
+            "windows": [[8, 20], [0, 10]],
+        }
+    )
 
 
 @pytest.fixture(scope="session")

@@ -169,6 +169,23 @@ def test_statevector_agrees_with_basis_eval():
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
+def test_statevector_calls_no_blas(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS routine called")
+
+    for name in ("norm", "multi_dot"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name in ("dot", "vdot", "inner", "matmul", "einsum"):
+        monkeypatch.setattr(np, name, refuse)
+    c = Circuit(qubit_count=15)
+    c.h(0)
+    c.cx(0, 14)
+    amps = np.zeros(1 << 15, dtype=complex)
+    amps[0] = 1.0
+    out = eval_statevector(c, amps)
+    assert abs(out[0] - 2**-0.5) < 1e-12 and abs(out[(1 << 14) | 1] - 2**-0.5) < 1e-12
+
+
 def test_count_resources_empty():
     rep = count_resources(Circuit(qubit_count=3))
     assert rep.gate_total == 0
@@ -185,6 +202,14 @@ def test_count_resources_tallies():
     assert rep.x_count == 1
     assert rep.mcx_by_arity == {1: 1, 2: 1}
     assert rep.x_count + rep.h_count + rep.mcx_total == rep.gate_total
+
+
+def test_enumeration_columns_match_closed_form():
+    """The byte-pattern columns equal the closed form full // (2^(2^j) + 1) << 2^j."""
+    for bits in range(15):
+        full = (1 << (1 << bits)) - 1
+        expected = [(full // ((1 << (1 << j)) + 1)) << (1 << j) for j in range(bits)]
+        assert enumeration_columns(bits) == expected, bits
 
 
 def test_register_values_roundtrip():

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from cvrptw_gas.cli import main
-from cvrptw_gas.instance import serialize_instance
+from cvrptw_gas.cli import main, sample_indices
+from cvrptw_gas.instance import serialize_instance, unpack_assignment
 
 
 @pytest.fixture()
@@ -128,6 +129,31 @@ def test_verify_oracle_sample_mode(capsys, example_path):
     assert doc["assignments_checked"] == 2000
     assert doc["mismatches"] == 0
     assert doc["decision_changed"] == 0
+
+
+def test_verify_oracle_samples_are_half_well_formed(example6):
+    indices = sample_indices(example6, 2000, 0)
+    assert len(indices) == 2000
+    formed = 0
+    for index in indices:
+        P, y = unpack_assignment(6, 3, int(index))
+        formed += sorted(P) == [1, 2, 3, 4, 5, 6] and y[-1] == 1
+    assert formed >= 1000
+    np.testing.assert_array_equal(sample_indices(example6, 2000, 0), indices)
+
+
+def test_verify_oracle_sample_mode_n9(capsys, tmp_path):
+    doc = {
+        "n": 9,
+        "c_max": 4,
+        "distance": [[0 if i == j else 1 + (i * j) % 5 for j in range(10)] for i in range(10)],
+        "demands": [1, 2, 1, 1, 2, 1, 1, 2, 1],
+    }
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify-oracle", str(path), "--k", "30", "--mode", "sample", "--samples", "400")
+    assert code == 0
+    assert json.loads(out) == {"assignments_checked": 400, "mismatches": 0, "dirty_ancillas": 0, "decision_changed": 0}
 
 
 def test_verify_oracle_refuses_large_exhaustive(capsys, tmp_path):

@@ -1,11 +1,16 @@
 """Layout determinism, constraint chains against their recurrences, the
 oracle/predicate equivalence, and uncompute cleanliness."""
 
+import gc
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cvrptw_gas import oracle
+from cvrptw_gas.classical import brute_force_optimum
+from cvrptw_gas.cli import sample_indices
 from cvrptw_gas.circuit import (
     enumeration_columns,
     eval_basis_batch,
@@ -23,10 +28,12 @@ from cvrptw_gas.oracle import (
     equivalence_scan,
     mark_predicate,
     pack_assignment,
+    reference_marks,
     unpack_assignment,
 )
+from cvrptw_gas.resources import register_widths
 
-from conftest import make_instance
+from conftest import binding_instance, make_instance, predicate_marks
 
 
 def run_block_on(layout, block, P, y):
@@ -316,10 +323,10 @@ def test_oracle_preserves_decisions_and_cleans_work(mixed4):
     assert rest == 0
 
 
-def test_oracle_single_customer_exhaustive():
+def test_oracle_single_customer_exhaustive(single_customer):
     """n = 1 has no pair flags and no overflow registers; every branch that
     allocates them conditionally must still compose."""
-    inst = make_instance({"n": 1, "c_max": 2, "distance": [[0, 7], [7, 0]], "demands": [1]})
+    inst = single_customer
     layout = build_layout(inst, 15)
     assert layout.distinct is None and layout.load_overflow is None
     for k, marked_total in ((15, 1), (14, 0)):
@@ -330,18 +337,9 @@ def test_oracle_single_customer_exhaustive():
         assert count_marked(inst, k)[0] == marked_total
 
 
-def test_oracle_windowed_pair_exhaustive():
-    inst = make_instance(
-        {
-            "n": 2,
-            "c_max": 5,
-            "distance": [[0, 5, 9], [5, 0, 4], [9, 4, 0]],
-            "demands": [1, 1],
-            "windows": [[8, 20], [0, 10]],
-        }
-    )
+def test_oracle_windowed_pair_exhaustive(windowed_pair):
     for k in (0, 20, 27, 10**6):
-        assert equivalence_scan(inst, k).clean
+        assert equivalence_scan(windowed_pair, k).clean
 
 
 def test_full_oracle_threshold_strictness(example6):
@@ -374,3 +372,129 @@ def test_pack_unpack_roundtrip():
         P = tuple(rng.randrange(1 << b) for _ in range(n))
         y = tuple(rng.randint(0, 1) for _ in range(n))
         assert unpack_assignment(n, b, pack_assignment(n, b, P, y)) == (P, y)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized reference that equivalence_scan compares the circuit with
+
+
+@pytest.mark.parametrize(
+    "name", ["vacuous3", "cap_bound3", "window_bound3", "mixed4", "single_customer", "windowed_pair"]
+)
+def test_reference_marks_match_predicate_exhaustively(name, request):
+    inst = request.getfixturevalue(name)
+    _, _, opt = brute_force_optimum(inst)
+    everything = np.arange(1 << build_layout(inst, 0).decision_bits, dtype=np.int64)
+    for k in (0, 12, 17, 37, opt + 1, 10**6):
+        np.testing.assert_array_equal(reference_marks(inst, k, everything), predicate_marks(inst, k), err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_reference_marks_match_predicate_sampled(n):
+    """2,000 uniform and 2,000 well-formed indices, at the lower quartile and
+    the median of the drawn feasible costs and with no threshold; n = 9 takes
+    two sweep blocks."""
+    inst = binding_instance(random.Random(n), n)
+    b_node = register_widths(inst).b_node
+    indices = sample_indices(inst, 4000, n)  # 2,000 uniform, then 2,000 well-formed
+    costs = [mark_predicate(inst, 10**6, *unpack_assignment(n, b_node, int(s))).cost for s in indices[2000:]]
+    feasible = sorted(c for c in costs if c is not None)
+    assert len(feasible) > 20  # the thresholds below split the feasible draws
+    for k in (feasible[len(feasible) // 4], feasible[len(feasible) // 2], 10**6):
+        expected = [mark_predicate(inst, k, *unpack_assignment(n, b_node, int(s))).marked for s in indices]
+        got = reference_marks(inst, k, indices)
+        np.testing.assert_array_equal(got, expected, err_msg=f"k={k}")
+        assert got[2000:].any() and not got[2000:].all()
+
+
+def test_scan_chunks_do_not_change_reports(mixed4, monkeypatch):
+    """An exhaustive and an index-list scan give the same report whether the
+    states run in one chunk or in many."""
+    indices = sample_indices(mixed4, 3000, 4)
+    whole = [equivalence_scan(mixed4, k, idx) for k in (37, 10**6) for idx in (None, indices)]
+    monkeypatch.setattr(oracle, "_SCAN_CHUNK_BITS", 10)
+    assert [equivalence_scan(mixed4, k, idx) for k in (37, 10**6) for idx in (None, indices)] == whole
+    assert whole[1].assignments_checked == 3000
+
+
+def test_scan_runs_no_collection_and_restores_collector(mixed4):
+    """No garbage collection runs inside a scan, and the collector is left
+    enabled or disabled as it was found, also when the scan raises."""
+    phases = []
+    record = lambda phase, info: phases.append(phase)
+    gc.callbacks.append(record)
+    try:
+        assert equivalence_scan(mixed4, 37).clean
+    finally:
+        gc.callbacks.remove(record)
+    assert phases == [] and gc.isenabled()
+    with pytest.raises(ValueError):
+        equivalence_scan(mixed4, 37, indices=["not an index"])
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        equivalence_scan(mixed4, 37, indices=[0, 1])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _drop_gate_on(builder, qubit_of):
+    """``builder`` with its last gate that targets ``qubit_of(layout)`` removed."""
+
+    def faulty(layout, *args, **kwargs):
+        c = builder(layout, *args, **kwargs)
+        target = qubit_of(layout)
+        drop = max(i for i, g in enumerate(c.gates) if g.target == target)
+        del c.gates[drop]
+        return c
+
+    return faulty
+
+
+def _with_table(builder, field, edit):
+    """``builder`` run on the layout's instance with one table edited."""
+
+    def faulty(layout, *args, **kwargs):
+        return builder(layout, replace(layout.inst, **{field: edit(getattr(layout.inst, field))}))
+
+    return faulty
+
+
+FAULTS = {
+    "uniqueness: drop the final AND": ("build_uniqueness", lambda b: _drop_gate_on(b, lambda lay: lay.valid_tour)),
+    "capacity: wrong demand of customer 2": (
+        "build_capacity_chain",
+        lambda b: _with_table(b, "q", lambda q: (*q[:2], q[2] + 2, *q[3:])),
+    ),
+    "time: drop a window flag": ("build_time_chain", lambda b: _drop_gate_on(b, lambda lay: lay.time_ok.qubit(1))),
+    "cost: wrong depot leg of customer 1": (
+        "build_cost_accumulator",
+        lambda b: _with_table(b, "D", lambda D: ((0, D[0][1] + 3, *D[0][2:]), *D[1:])),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_equivalence_scan_catches_chain_faults(fault, mixed4, monkeypatch):
+    """A chain built wrong changes which states the circuit marks. The mirror
+    is the compute phase reversed, so the fault uncomputes cleanly and shows
+    only as a wrong mark: the reference must catch it."""
+    name, make_faulty = FAULTS[fault]
+    _, _, opt = brute_force_optimum(mixed4)
+    reports = [equivalence_scan(mixed4, k) for k in (opt + 1, 10**6)]
+    monkeypatch.setattr(oracle, name, make_faulty(getattr(oracle, name)))
+    faulty = [equivalence_scan(mixed4, k) for k in (opt + 1, 10**6)]
+    assert all(r.clean for r in reports)
+    assert any(r.mismatches for r in faulty), fault
+    assert all(r.dirty_ancillas == 0 and r.decision_changed == 0 for r in faulty)
+
+
+def test_oracle_equivalence_exhaustive_six_customer(example6):
+    """All 2^24 assignments of the paper's example at its optimum + 1,
+    streamed through the circuit in chunks."""
+    report = equivalence_scan(example6, 182)
+    assert report.assignments_checked == 1 << 24
+    assert report.mismatches == 0
+    assert report.dirty_ancillas == 0
+    assert report.decision_changed == 0
