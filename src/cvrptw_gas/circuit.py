@@ -4,7 +4,12 @@ Gates are X, H and MCX with per-control polarities (an MCX with one control
 is a CX, with two a Toffoli). The basis-state evaluator handles permutation
 circuits (no H) one state at a time; the column evaluator runs the same
 circuit over many basis states at once, one big-integer bit column per qubit;
-the dense statevector evaluator covers small circuits that do contain H.
+the dense statevector evaluator covers small circuits that do contain H. It
+applies every gate in place to one copy of the state: X flips an axis as a
+view, MCX swaps two slices and H is a butterfly over the two halves of its
+axis through one half-size scratch buffer, so the gates need one state plus
+half a state. X, H and MCX have real matrices, so a real input is simulated in
+float64 at half the bytes of complex128.
 
 Bit-order convention, binding everywhere in this package: qubit ``start + j``
 of a register is bit ``j`` (the least significant) of the integer it encodes.
@@ -18,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STATEVECTOR_QUBIT_CAP = 26
+# Amplitudes per block of the input norm check.
+_WEIGHT_BLOCK = 1 << 16
 
 
 class CircuitError(ValueError):
@@ -288,44 +295,78 @@ def register_values(columns: list[int], ref: RegisterRef, count: int) -> np.ndar
 # Dense statevector evaluation
 
 
-def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply every gate as its unitary to a dense state of 2**n amplitudes.
+def check_statevector_size(qubit_count: int) -> None:
+    """Refuse a dense state over more than :data:`STATEVECTOR_QUBIT_CAP` qubits."""
+    if qubit_count > STATEVECTOR_QUBIT_CAP:
+        raise CircuitError(f"statevector evaluation capped at {STATEVECTOR_QUBIT_CAP} qubits, circuit has {qubit_count}")
 
-    Amplitude index s is the basis state whose qubit i reads bit i of s.
-    """
-    n = c.qubit_count
-    if n > STATEVECTOR_QUBIT_CAP:
-        raise CircuitError(f"statevector evaluation capped at {STATEVECTOR_QUBIT_CAP} qubits")
-    state = np.asarray(amplitudes, dtype=complex)
-    if state.shape != (1 << n,):
-        raise CircuitError("amplitude vector length must be 2**qubit_count")
-    # Not np.linalg.norm: its BLAS dot wakes OpenBLAS's worker threads, which
-    # then busy-wait for about 0.1 s and slow whatever this process runs next.
-    if abs(np.sqrt(np.sum(state.real**2 + state.imag**2)) - 1.0) > 1e-12:
-        raise CircuitError("input state is not normalized")
-    state = state.copy().reshape([2] * n)
+
+def _weight(state: np.ndarray) -> float:
+    """Sum of |amplitude|^2, taken in blocks so it needs no state-sized
+    temporary. Not np.linalg.norm: its BLAS dot wakes OpenBLAS's worker
+    threads, which then busy-wait for about 0.1 s and slow whatever this
+    process runs next."""
+    return sum(float(np.sum(np.abs(state[i : i + _WEIGHT_BLOCK]) ** 2)) for i in range(0, state.size, _WEIGHT_BLOCK))
+
+
+def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
+    """Apply ``gates`` in place to the ``(2,)*n`` state ``nd``; returns the
+    final view (X gates flip axes as views rather than moving amplitudes)."""
+    n = nd.ndim
+    scratch = np.empty((2,) * (n - 1), dtype=nd.dtype)
 
     def axis(q: int) -> int:
         return n - 1 - q  # C-order reshape puts qubit 0 in the last axis
 
+    def halves(sel: list, ax: int) -> tuple[np.ndarray, np.ndarray]:
+        # Ellipsis keeps a fully indexed slice a 0-d view rather than a scalar.
+        sel[ax] = 0
+        lo = nd[tuple(sel) + (Ellipsis,)]
+        sel[ax] = 1
+        return lo, nd[tuple(sel) + (Ellipsis,)]
+
     inv_sqrt2 = 2.0**-0.5
-    for g in c.gates:
+    for g in gates:
         if g.kind == "x":
-            state = np.flip(state, axis=axis(g.target))
+            nd = np.flip(nd, axis=axis(g.target))
         elif g.kind == "h":
-            ax = axis(g.target)
-            lo = np.take(state, 0, axis=ax)
-            hi = np.take(state, 1, axis=ax)
-            state = np.stack(((lo + hi) * inv_sqrt2, (lo - hi) * inv_sqrt2), axis=ax)
+            lo, hi = halves([slice(None)] * n, axis(g.target))
+            np.add(lo, hi, out=scratch)
+            np.subtract(lo, hi, out=hi)
+            np.multiply(scratch, inv_sqrt2, out=lo)
+            hi *= inv_sqrt2
         else:
             sel: list = [slice(None)] * n
             for q, pol in g.controls:
                 sel[axis(q)] = 1 if pol else 0
-            i0, i1 = list(sel), list(sel)
-            i0[axis(g.target)] = 0
-            i1[axis(g.target)] = 1
-            i0, i1 = tuple(i0), tuple(i1)
-            tmp = state[i0].copy()
-            state[i0] = state[i1]
-            state[i1] = tmp
-    return state.reshape(-1)
+            lo, hi = halves(sel, axis(g.target))
+            buf = scratch.reshape(-1)[: lo.size].reshape(lo.shape)
+            np.copyto(buf, lo)
+            np.copyto(lo, hi)
+            np.copyto(hi, buf)
+    return nd
+
+
+def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
+    """Apply every gate as its unitary to a dense state of 2**n amplitudes.
+
+    Amplitude index s is the basis state whose qubit i reads bit i of s. The
+    caller's array is copied, never modified. Amplitudes are held in
+    ``np.result_type(input, float64)``: X, H and MCX have real matrices, so a
+    real input stays real and streams half the bytes of a complex one, and a
+    complex input stays complex. Gates act in place on the ``(2,)*n`` view of
+    that one copy: X flips an axis as a view, MCX swaps two slices and H is a
+    butterfly over the two halves of its axis, through one half-size scratch
+    buffer allocated per call. Besides the caller's array, the call holds one
+    state plus half a state; a final state left flipped by X gates is copied
+    out after the scratch buffer is freed.
+    """
+    n = c.qubit_count
+    check_statevector_size(n)
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.shape != (1 << n,):
+        raise CircuitError("amplitude vector length must be 2**qubit_count")
+    state = np.array(amplitudes, dtype=np.result_type(amplitudes.dtype, np.float64))
+    if abs(np.sqrt(_weight(state)) - 1.0) > 1e-12:
+        raise CircuitError("input state is not normalized")
+    return _apply_gates(state.reshape((2,) * n), c.gates).reshape(-1)

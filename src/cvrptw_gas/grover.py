@@ -33,6 +33,7 @@ import numpy as np
 
 from .circuit import (
     Circuit,
+    check_statevector_size,
     column_bits,
     enumeration_columns,
     eval_basis_batch,
@@ -376,13 +377,17 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
     spanning the search space. The uniform superposition is prepared over
     those qubits, each round applies the phase oracle then inversion about
     the mean, and the returned value is the total probability mass whose
-    decision projection is marked.
+    decision projection is marked. Every gate is simulated on a real state
+    (all its gates have real matrices). An oracle over more than
+    :data:`~cvrptw_gas.circuit.STATEVECTOR_QUBIT_CAP` qubits is refused before
+    anything is enumerated or allocated.
     """
+    nq = oracle.qubit_count
+    check_statevector_size(nq)
     decision_qubits: list[int] = []
     for name in decision_registers:
         decision_qubits.extend(oracle.registers[name].qubits())
     out = oracle.registers["marked"].qubit(0)
-    nq = oracle.qubit_count
     bits = len(decision_qubits)
 
     # Marked set from the oracle itself, all work qubits zero.
@@ -418,11 +423,15 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
         for q in decision_qubits:
             g.h(q)
 
-    start = np.zeros(1 << nq, dtype=complex)
+    start = np.zeros(1 << nq)
     start[0] = 1.0
-    probs = np.abs(eval_statevector(g, start)) ** 2
-    idx = np.arange(1 << nq)
-    dec = np.zeros(1 << nq, dtype=np.int64)
-    for j, q in enumerate(decision_qubits):
-        dec |= ((idx >> q) & 1) << j
-    return float(probs[marked_patterns[dec]].sum())
+    weight = eval_statevector(g, start)
+    weight *= weight  # the state is real, so its square is |amplitude|^2
+    # Sum out the work qubits (qubit q is axis nq-1-q), which leaves the
+    # decision qubits in descending order; reorder them so that the flat index
+    # of a cell is its decision pattern, bit j being decision_qubits[j].
+    desc = sorted(decision_qubits, reverse=True)
+    work = tuple(nq - 1 - q for q in range(nq) if q not in desc)
+    mass = weight.reshape((2,) * nq).sum(axis=work)
+    mass = mass.transpose([desc.index(q) for q in reversed(decision_qubits)]).reshape(-1)
+    return float(mass[marked_patterns].sum())

@@ -45,7 +45,6 @@ class Instance:
     T: tuple[tuple[int, ...], ...]
     q: tuple[int, ...]
     windows: tuple[tuple[int, int], ...]
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         side = self.n + 1
@@ -93,9 +92,6 @@ class Instance:
         """True when every window is the defaulted (0, sentinel) pair."""
         sentinel = self.t_sentinel
         return all(a == 0 and b >= sentinel for a, b in self.windows[1:])
-
-    def window(self, customer: int) -> tuple[int, int]:
-        return self.windows[customer]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .circuit import Circuit, CircuitError, RegisterRef
+from .circuit import Circuit, CircuitError, RegisterRef, inverse
 
 
 def _blank(qubit_count: int | None, *refs: RegisterRef | int) -> Circuit:
@@ -51,18 +51,6 @@ def _maj_chain(c: Circuit, seed: int, carry_reg: RegisterRef, other: RegisterRef
     _maj(c, seed, other.qubit(0), carry_reg.qubit(0))
     for i in range(1, carry_reg.width):
         _maj(c, carry_reg.qubit(i - 1), other.qubit(i), carry_reg.qubit(i))
-
-
-def _maj_chain_inverse(c: Circuit, seed: int, carry_reg: RegisterRef, other: RegisterRef) -> None:
-    for i in range(carry_reg.width - 1, 0, -1):
-        x, y, z = carry_reg.qubit(i - 1), other.qubit(i), carry_reg.qubit(i)
-        c.ccx(x, y, z)
-        c.cx(z, x)
-        c.cx(z, y)
-    x, y, z = seed, other.qubit(0), carry_reg.qubit(0)
-    c.ccx(x, y, z)
-    c.cx(z, x)
-    c.cx(z, y)
 
 
 def build_adder(
@@ -129,9 +117,11 @@ def build_add_const(
 
 def _carry_flag(c: Circuit, carry_reg: RegisterRef, other: RegisterRef, seed: int, flag: int) -> None:
     """flag ^= carry-out of ``carry_reg + other``; both registers restored."""
-    _maj_chain(c, seed, carry_reg, other)
+    chain = Circuit(qubit_count=c.qubit_count)
+    _maj_chain(chain, seed, carry_reg, other)
+    c.extend(chain)
     c.cx(carry_reg.qubit(carry_reg.width - 1), flag)
-    _maj_chain_inverse(c, seed, carry_reg, other)
+    c.extend(inverse(chain))
 
 
 def build_leq_const(

@@ -151,7 +151,7 @@ def test_statevector_norm_and_cap_checks():
     with pytest.raises(CircuitError, match="normalized"):
         eval_statevector(c, np.array([1, 1], dtype=complex))
     big = Circuit(qubit_count=27)
-    with pytest.raises(CircuitError, match="capped"):
+    with pytest.raises(CircuitError, match="capped at 26 qubits, circuit has 27"):
         eval_statevector(big, np.zeros(2**27, dtype=complex))
 
 
@@ -184,6 +184,71 @@ def test_statevector_calls_no_blas(monkeypatch):
     amps[0] = 1.0
     out = eval_statevector(c, amps)
     assert abs(out[0] - 2**-0.5) < 1e-12 and abs(out[(1 << 14) | 1] - 2**-0.5) < 1e-12
+
+
+def dense_unitary(c: Circuit) -> np.ndarray:
+    """The circuit's unitary from np.kron of 2x2 factors and MCX permutation
+    matrices; amplitude index s has qubit i in bit i, so the top qubit is the
+    leftmost kron factor."""
+    n = c.qubit_count
+    single = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "h": np.array([[1.0, 1.0], [1.0, -1.0]]) * 2**-0.5}
+    u = np.eye(1 << n)
+    for g in c.gates:
+        if g.kind == "mcx":
+            m = np.zeros((1 << n, 1 << n))
+            for s in range(1 << n):
+                fire = all(bool((s >> q) & 1) == pol for q, pol in g.controls)
+                m[s ^ (1 << g.target) if fire else s, s] = 1.0
+        else:
+            m = np.kron(np.kron(np.eye(1 << (n - 1 - g.target)), single[g.kind]), np.eye(1 << g.target))
+        u = m @ u
+    return u
+
+
+def random_gate_circuit(rng, qubits, gates):
+    """Random X/H/MCX gates with one H on every qubit at a random place."""
+    c = Circuit(qubit_count=qubits)
+    kinds = [rng.choice(("x", "h", "mcx") if qubits > 1 else ("x", "h")) for _ in range(gates)]
+    slots = [(kind, rng.randrange(qubits)) for kind in kinds]
+    for q in range(qubits):
+        slots.insert(rng.randrange(len(slots) + 1), ("h", q))
+    for kind, target in slots:
+        if kind == "x":
+            c.x(target)
+        elif kind == "h":
+            c.h(target)
+        else:
+            pool = [q for q in range(qubits) if q != target]
+            controls = [(q, rng.random() < 0.5) for q in rng.sample(pool, rng.randint(1, len(pool)))]
+            c.mcx(controls, target)
+    return c
+
+
+def test_statevector_matches_dense_unitary():
+    rng = random.Random(11)
+    nprng = np.random.default_rng(11)
+    for qubits in range(1, 7):
+        for _ in range(6):
+            c = random_gate_circuit(rng, qubits, 4 * qubits)
+            u = dense_unitary(c)
+            real = nprng.normal(size=1 << qubits)
+            cplx = real + 1j * nprng.normal(size=1 << qubits)
+            for amps, kind in ((real / np.sqrt(np.sum(real**2)), "f"), (cplx / np.sqrt(np.sum(np.abs(cplx) ** 2)), "c")):
+                before = amps.copy()
+                out = eval_statevector(c, amps)
+                assert np.array_equal(amps, before)
+                assert out.dtype.kind == kind
+                assert np.abs(out - u @ amps).max() < 1e-12
+
+
+def test_statevector_dtype_follows_input():
+    c = Circuit(qubit_count=2)
+    c.h(0)
+    c.cx(0, 1)
+    basis = np.array([1, 0, 0, 0])
+    assert eval_statevector(c, basis).dtype == np.float64
+    assert eval_statevector(c, basis.astype(np.float32)).dtype == np.float64
+    assert eval_statevector(c, basis.astype(np.complex64)).dtype == np.complex128
 
 
 def test_count_resources_empty():

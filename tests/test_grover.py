@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from cvrptw_gas import grover
+from cvrptw_gas.circuit import Circuit, CircuitError
 from cvrptw_gas.classical import InfeasibleError, brute_force_optimum, feasible_and_cost, tour_cost
 from cvrptw_gas.cli import main
 from cvrptw_gas.grover import (
@@ -264,6 +266,31 @@ def test_statevector_nothing_marked():
     oracle = synthetic_marking_oracle(4, [])
     for m in range(4):
         assert statevector_grover(oracle, ["decision"], m) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_statevector_decision_registers_in_any_order():
+    # Decision qubits split around the marked qubit and listed high register
+    # first: the marked mass must still be read at the oracle's own patterns.
+    c = Circuit()
+    a = c.add_register("a", 2)
+    marked = c.add_register("marked", 1)
+    b = c.add_register("b", 2)
+    controls = [(a.qubit(0), True), (a.qubit(1), False), (b.qubit(0), False), (b.qubit(1), False)]
+    c.mcx(controls, marked.qubit(0))
+    for m in range(4):
+        got = statevector_grover(c, ["b", "a"], m)
+        assert got == pytest.approx(success_probability(16, 1, m), abs=1e-12)
+
+
+def test_statevector_refuses_over_cap_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the columns of an oversized oracle")
+
+    monkeypatch.setattr(grover, "enumeration_columns", refuse)
+    oracle = synthetic_marking_oracle(26, [0])
+    assert oracle.qubit_count == 27
+    with pytest.raises(CircuitError, match="capped at 26 qubits, circuit has 27"):
+        statevector_grover(oracle, ["decision"], 1)
 
 
 def test_search_space(example6):
