@@ -6,8 +6,9 @@ circuits (no H) one state at a time; the column evaluator runs the same
 circuit over many basis states at once, one big-integer bit column per qubit;
 the dense statevector evaluator covers small circuits that do contain H. It
 applies every gate in place to one copy of the state: X flips an axis as a
-view, MCX swaps two slices and H is a butterfly over the two halves of its
-axis through one half-size scratch buffer, so the gates need one state plus
+view, MCX swaps two slices and H is an unscaled butterfly over the two halves
+of its axis through one half-size scratch buffer, its 1/sqrt(2) factors
+applied together every few hundred H gates, so the gates need one state plus
 half a state. X, H and MCX have real matrices, so a real input is simulated in
 float64 at half the bytes of complex128.
 
@@ -25,6 +26,10 @@ import numpy as np
 STATEVECTOR_QUBIT_CAP = 26
 # Amplitudes per block of the input norm check.
 _WEIGHT_BLOCK = 1 << 16
+# An H butterfly without its 1/sqrt(2) scale grows the norm by sqrt(2); the
+# scale owed is applied after this many H gates, so the norm stays below 2^128
+# and far from float64 overflow.
+_H_RESCALE_EVERY = 256
 
 
 class CircuitError(ValueError):
@@ -311,7 +316,11 @@ def _weight(state: np.ndarray) -> float:
 
 def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
     """Apply ``gates`` in place to the ``(2,)*n`` state ``nd``; returns the
-    final view (X gates flip axes as views rather than moving amplitudes)."""
+    final view (X gates flip axes as views rather than moving amplitudes).
+
+    H is applied as the unscaled butterfly ``(lo + hi, lo - hi)``; its
+    1/sqrt(2) factors are collected and applied in one pass every
+    :data:`_H_RESCALE_EVERY` H gates and at the end."""
     n = nd.ndim
     scratch = np.empty((2,) * (n - 1), dtype=nd.dtype)
 
@@ -325,7 +334,7 @@ def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
         sel[ax] = 1
         return lo, nd[tuple(sel) + (Ellipsis,)]
 
-    inv_sqrt2 = 2.0**-0.5
+    owed = 0  # H gates whose 1/sqrt(2) is not applied yet
     for g in gates:
         if g.kind == "x":
             nd = np.flip(nd, axis=axis(g.target))
@@ -333,8 +342,11 @@ def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
             lo, hi = halves([slice(None)] * n, axis(g.target))
             np.add(lo, hi, out=scratch)
             np.subtract(lo, hi, out=hi)
-            np.multiply(scratch, inv_sqrt2, out=lo)
-            hi *= inv_sqrt2
+            np.copyto(lo, scratch)
+            owed += 1
+            if owed == _H_RESCALE_EVERY:
+                nd *= 2.0 ** (-owed / 2)
+                owed = 0
         else:
             sel: list = [slice(None)] * n
             for q, pol in g.controls:
@@ -344,6 +356,8 @@ def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
             np.copyto(buf, lo)
             np.copyto(lo, hi)
             np.copyto(hi, buf)
+    if owed:
+        nd *= 2.0 ** (-owed / 2)
     return nd
 
 
@@ -357,7 +371,8 @@ def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
     complex input stays complex. Gates act in place on the ``(2,)*n`` view of
     that one copy: X flips an axis as a view, MCX swaps two slices and H is a
     butterfly over the two halves of its axis, through one half-size scratch
-    buffer allocated per call. Besides the caller's array, the call holds one
+    buffer allocated per call, with its 1/sqrt(2) scale deferred (see
+    :func:`_apply_gates`). Besides the caller's array, the call holds one
     state plus half a state; a final state left flipped by X gates is copied
     out after the scratch buffer is freed.
     """

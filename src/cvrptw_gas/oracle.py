@@ -21,6 +21,17 @@ Two bookkeeping details go beyond the obvious translation of the recurrences:
   it swaps the loser into a per-position spill register that stays dirty
   until the mirror phase clears it.
 
+The compute phase is kept small by rewrites that leave the mark of every
+input unchanged, and the layout with it:
+
+* vacuous windows reduce the time chain to one X per window flag;
+* the window opening becomes the close in the pool through one encoder of
+  their XOR;
+* the first cost leg is XORed into the still-zero cost register, and at each
+  later position the return and the direct leg leaving the previous customer
+  share one pool value and one adder, since exactly one of them applies;
+* each cost adder runs only over the bits of the running bound on the cost.
+
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
 references. ``equivalence_scan`` checks the circuit against
@@ -47,7 +58,7 @@ from .circuit import (
     inverse,
 )
 from .grover import _BLOCK_ROWS, _feasible_block
-from .instance import Instance, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
+from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
 from .qarith import (
     build_adder,
     build_and_reduce,
@@ -266,14 +277,28 @@ def build_capacity_chain(layout: OracleLayout, inst: Instance | None = None) -> 
 def build_time_chain(layout: OracleLayout, inst: Instance | None = None) -> Circuit:
     """Per position: seed the clock from the depot on a fresh route, otherwise
     carry the previous clock forward and add the leg time; lift to the window
-    opening with the max gadget; flag ``clock <= window close``."""
+    opening with the max gadget; flag ``clock <= window close``.
+
+    The window value in the pool goes from the opening to the close through
+    one encoder of ``opening XOR close``. When the windows are vacuous
+    (:attr:`Instance.windows_vacuous`), no route can wait, pass a close or
+    wrap the clock, so the chain is one X per ``time_ok`` flag and the clock
+    registers stay zero. Out-of-range codes then pass the window check too;
+    the tour-validity flag already rejects them.
+    """
     inst = inst or layout.inst
     n = inst.n
     w = layout.widths.w_time
     c = layout.empty_circuit()
+    if inst.windows_vacuous:
+        for q in layout.time_ok.qubits():
+            c.x(q)
+        return c
     from_depot = _customer_table(inst, lambda v: inst.T[0][v])
     opening = _customer_table(inst, lambda v: inst.windows[v][0])
     closing = _customer_table(inst, lambda v: inst.windows[v][1])
+    open_to_close = [a ^ b for a, b in zip(opening, closing)]
+    window = layout.pool_value(w)
     for i in range(n):
         if i == 0:
             c.extend(
@@ -309,42 +334,70 @@ def build_time_chain(layout: OracleLayout, inst: Instance | None = None) -> Circ
                 )
             )
             c.extend(leg)  # XOR encoders are their own inverse
-        open_enc = build_conditional_encoder(
-            layout.tour[i], opening, layout.pool_value(w), qubit_count=c.qubit_count
-        )
-        c.extend(open_enc)
+        c.extend(build_conditional_encoder(layout.tour[i], opening, window, qubit_count=c.qubit_count))
         c.extend(
             build_max_with_register(
                 layout.clock[i],
-                layout.pool_value(w),
+                window,
                 layout.waited.qubit(i),
                 layout.clock_spill[i],
                 layout.pool_seed(w),
                 qubit_count=c.qubit_count,
             )
         )
-        c.extend(open_enc)
-        close_enc = build_conditional_encoder(
-            layout.tour[i], closing, layout.pool_value(w), qubit_count=c.qubit_count
-        )
-        c.extend(close_enc)
+        c.extend(build_conditional_encoder(layout.tour[i], open_to_close, window, qubit_count=c.qubit_count))
         c.extend(
             build_leq_register(
                 layout.clock[i],
-                layout.pool_value(w),
+                window,
                 layout.time_ok.qubit(i),
                 layout.pool_seed(w),
                 qubit_count=c.qubit_count,
             )
         )
-        c.extend(close_enc)
+        c.extend(build_conditional_encoder(layout.tour[i], closing, window, qubit_count=c.qubit_count))
+    return c
+
+
+def build_exit_leg_encoder(layout: OracleLayout, inst: Instance, i: int, out: RegisterRef) -> Circuit:
+    """``out ^=`` the leg that leaves position ``i - 1`` (``i >= 1``): the
+    return ``D[P_{i-1}][0]`` when split bit ``i - 1`` is set, else the direct
+    leg ``D[P_{i-1}][P_i]``. The two encoders have opposite split controls,
+    so exactly one of them writes."""
+    restart = (layout.split.qubit(i - 1), True)
+    carry_on = (layout.split.qubit(i - 1), False)
+    back_home = _customer_table(inst, lambda v: inst.D[v][0])
+    c = build_conditional_encoder(
+        layout.tour[i - 1], back_home, out, controls=[restart], qubit_count=layout.qubit_count
+    )
+    c.extend(
+        build_pair_matrix_encoder(
+            layout.tour[i - 1],
+            layout.tour[i],
+            inst.D,
+            inst.customers,
+            out,
+            controls=[carry_on],
+            qubit_count=layout.qubit_count,
+        )
+    )
     return c
 
 
 def build_cost_accumulator(layout: OracleLayout, inst: Instance | None = None, k: int | None = None) -> Circuit:
     """Accumulate the objective legs into the cost register and flag
-    ``cost < k``. Split legs return through the depot; direct legs use the
-    pair matrix. The cost register is sized so no assignment can wrap it."""
+    ``cost < k``.
+
+    The register is zero before the first leg, so ``D[0][P_1]`` is XORed
+    straight into it. Each later position adds two pool values: the leg
+    leaving the previous customer (:func:`build_exit_leg_encoder`) and, on a
+    fresh route, the leg out of the depot; the return of the last customer
+    closes the tour. Every adder runs over just the bits of its running
+    bound, the sum of the maxima of the tables added so far. No assignment,
+    malformed ones included, can exceed that bound, so the higher cost bits
+    stay zero and the next pool qubit seeds the carry. The full register is
+    sized so no assignment can wrap it.
+    """
     inst = inst or layout.inst
     k = layout.k if k is None else k
     n = inst.n
@@ -352,43 +405,32 @@ def build_cost_accumulator(layout: OracleLayout, inst: Instance | None = None, k
     c = layout.empty_circuit()
     to_first = _customer_table(inst, lambda v: inst.D[0][v])
     back_home = _customer_table(inst, lambda v: inst.D[v][0])
+    direct = max((inst.D[u][v] for u in inst.customers for v in inst.customers if u != v), default=0)
+    c.extend(build_conditional_encoder(layout.tour[0], to_first, layout.cost, qubit_count=c.qubit_count))
+    bound = max(to_first)
 
-    def add_encoded(encoder: Circuit) -> None:
+    def add_encoded(encoder: Circuit, table_max: int) -> None:
+        nonlocal bound
+        bound += table_max
+        s = bits_for(bound)
         c.extend(encoder)
         c.extend(
-            build_adder(layout.pool_value(w), layout.cost, layout.pool_seed(w), qubit_count=c.qubit_count)
+            build_adder(layout.pool_value(s), layout.cost.slice(0, s), layout.pool_seed(s), qubit_count=c.qubit_count)
         )
         c.extend(encoder)
 
-    add_encoded(
-        build_conditional_encoder(layout.tour[0], to_first, layout.pool_value(w), qubit_count=c.qubit_count)
-    )
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)
-        carry_on = (layout.split.qubit(i - 1), False)
-        add_encoded(
-            build_conditional_encoder(
-                layout.tour[i - 1], back_home, layout.pool_value(w), controls=[restart], qubit_count=c.qubit_count
-            )
-        )
+        add_encoded(build_exit_leg_encoder(layout, inst, i, layout.pool_value(w)), max(max(back_home), direct))
         add_encoded(
             build_conditional_encoder(
                 layout.tour[i], to_first, layout.pool_value(w), controls=[restart], qubit_count=c.qubit_count
-            )
-        )
-        add_encoded(
-            build_pair_matrix_encoder(
-                layout.tour[i - 1],
-                layout.tour[i],
-                inst.D,
-                inst.customers,
-                layout.pool_value(w),
-                controls=[carry_on],
-                qubit_count=c.qubit_count,
-            )
+            ),
+            max(to_first),
         )
     add_encoded(
-        build_conditional_encoder(layout.tour[n - 1], back_home, layout.pool_value(w), qubit_count=c.qubit_count)
+        build_conditional_encoder(layout.tour[n - 1], back_home, layout.pool_value(w), qubit_count=c.qubit_count),
+        max(back_home),
     )
     # Any threshold above the register range marks every cost.
     k_eff = min(k, 1 << w)

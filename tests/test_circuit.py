@@ -241,6 +241,19 @@ def test_statevector_matches_dense_unitary():
                 assert np.abs(out - u @ amps).max() < 1e-12
 
 
+def test_statevector_long_h_run_stays_finite():
+    """H is applied unscaled and its scale settled in batches. 2,001 H gates
+    (and 4,001, whose unscaled norm 2^2000 overflows float64) still give
+    H|0>."""
+    for count in (2001, 4001):
+        c = Circuit(qubit_count=1)
+        for _ in range(count):
+            c.h(0)
+        out = eval_statevector(c, np.array([1.0, 0.0]))
+        assert np.isfinite(out).all()
+        assert np.abs(out - [2**-0.5, 2**-0.5]).max() < 1e-12
+
+
 def test_statevector_dtype_follows_input():
     c = Circuit(qubit_count=2)
     c.h(0)

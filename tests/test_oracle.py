@@ -12,6 +12,7 @@ from cvrptw_gas import oracle
 from cvrptw_gas.classical import brute_force_optimum
 from cvrptw_gas.cli import sample_indices
 from cvrptw_gas.circuit import (
+    count_resources,
     enumeration_columns,
     eval_basis_batch,
     eval_basis_int,
@@ -21,6 +22,7 @@ from cvrptw_gas.oracle import (
     LayoutError,
     build_capacity_chain,
     build_cost_accumulator,
+    build_exit_leg_encoder,
     build_layout,
     build_oracle,
     build_time_chain,
@@ -31,6 +33,7 @@ from cvrptw_gas.oracle import (
     reference_marks,
     unpack_assignment,
 )
+from cvrptw_gas.qarith import build_adder
 from cvrptw_gas.resources import register_widths
 
 from conftest import binding_instance, make_instance, predicate_marks
@@ -205,6 +208,14 @@ def test_time_chain_vacuous_windows_always_pass(vacuous3):
             assert ok[s] == (1 << n) - 1, (P, s)
 
 
+def test_time_chain_vacuous_windows_is_flags_only(vacuous3):
+    """Vacuous windows cannot bind, so the chain only sets the n flags."""
+    layout = build_layout(vacuous3, 100)
+    gates = build_time_chain(layout).gates
+    assert [(g.kind, g.target) for g in gates] == [("x", q) for q in layout.time_ok.qubits()]
+    assert len(gates) == vacuous3.n
+
+
 def test_time_chain_matches_recurrence_exhaustively(window_bound3):
     inst = window_bound3
     layout = build_layout(inst, 100)
@@ -260,6 +271,43 @@ def test_cost_threshold_zero_marks_nothing(vacuous3):
     assert not column_bits(out[layout.cost_ok], count).any()
 
 
+def test_exit_leg_encoder_writes_one_table(mixed4):
+    """Over every pair of 3-bit codes and both split values, exactly one of
+    the return leg and the direct leg lands in the pool."""
+    inst = mixed4
+    layout = build_layout(inst, 100)
+    out_ref = layout.pool_value(layout.widths.w_cost)
+    host = layout.empty_circuit()
+    host.extend(build_exit_leg_encoder(layout, inst, 2, out_ref))
+    bits = layout.decision_bits
+    count = 1 << bits
+    out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
+    pool = register_values(out, out_ref, count)
+    customers = range(1, inst.n + 1)
+    for s in range(count):
+        P, y = unpack_assignment(inst.n, layout.widths.b_node, s)
+        u, v = P[1], P[2]
+        if y[1]:
+            expect = inst.D[u][0] if u in customers else 0
+        else:
+            expect = inst.D[u][v] if u in customers and v in customers and u != v else 0
+        assert pool[s] == expect, (P, y)
+
+
+def test_example_oracle_structure(example6):
+    """Gate counts of the paper's example at its optimum + 1, frozen: the
+    vacuous windows leave six X gates in the time chain, and the cost chain
+    runs 11 trimmed adders."""
+    layout = build_layout(example6, 182)
+    builders = (build_uniqueness, build_capacity_chain, build_time_chain, build_cost_accumulator)
+    chains = [len(b(layout).gates) for b in builders]
+    assert chains == [247, 311, 6, 1904]
+    built = build_oracle(example6, 182)
+    assert len(built.gates) == 2 * sum(chains) + 1 == 4937
+    assert built.qubit_count == layout.qubit_count == 223
+    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 18401
+
+
 def test_mark_predicate_example_values(example6):
     res = mark_predicate(example6, 10**6, (1, 2, 3, 4, 5, 6), (1,) * 6)
     assert res.marked and res.cost == 272
@@ -291,9 +339,11 @@ def test_predicate_agrees_with_feasibility_report(mixed4):
 
 
 def test_oracle_equivalence_exhaustive(vacuous3):
-    report = equivalence_scan(vacuous3, 100)
-    assert report.assignments_checked == 512
-    assert report.clean
+    _, _, opt = brute_force_optimum(vacuous3)
+    for k in (0, opt + 1, 100, 10**6):
+        report = equivalence_scan(vacuous3, k)
+        assert report.assignments_checked == 512
+        assert report.clean, k
 
 
 def test_oracle_threshold_monotone(cap_bound3):
@@ -329,7 +379,7 @@ def test_oracle_single_customer_exhaustive(single_customer):
     inst = single_customer
     layout = build_layout(inst, 15)
     assert layout.distinct is None and layout.load_overflow is None
-    for k, marked_total in ((15, 1), (14, 0)):
+    for k, marked_total in ((0, 0), (14, 0), (15, 1), (10**6, 1)):
         report = equivalence_scan(inst, k)
         assert report.clean
         from cvrptw_gas.grover import count_marked
@@ -338,7 +388,7 @@ def test_oracle_single_customer_exhaustive(single_customer):
 
 
 def test_oracle_windowed_pair_exhaustive(windowed_pair):
-    for k in (0, 20, 27, 10**6):
+    for k in (0, 19, 20, 27, 10**6):  # optimum 18
         assert equivalence_scan(windowed_pair, k).clean
 
 
@@ -461,30 +511,70 @@ def _with_table(builder, field, edit):
     return faulty
 
 
+def _narrow_first_cost_adder(builder):
+    """``builder`` with its first cost adder one bit narrower than the
+    running bound: a carry into the top bit is lost."""
+
+    def faulty(layout, *args, **kwargs):
+        narrowed = []
+
+        def adder(a, b, ancilla, **kw):
+            if b.name == "cost" and not narrowed:
+                narrowed.append(b)
+                a, b = a.slice(0, a.width - 1), b.slice(0, b.width - 1)
+            return build_adder(a, b, ancilla, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "build_adder", adder)
+            c = builder(layout, *args, **kwargs)
+        assert narrowed
+        return c
+
+    return faulty
+
+
+# name: (fixture, chain builder, faulty builder from the real one)
 FAULTS = {
-    "uniqueness: drop the final AND": ("build_uniqueness", lambda b: _drop_gate_on(b, lambda lay: lay.valid_tour)),
+    "uniqueness: drop the final AND": (
+        "mixed4",
+        "build_uniqueness",
+        lambda b: _drop_gate_on(b, lambda lay: lay.valid_tour),
+    ),
     "capacity: wrong demand of customer 2": (
+        "mixed4",
         "build_capacity_chain",
         lambda b: _with_table(b, "q", lambda q: (*q[:2], q[2] + 2, *q[3:])),
     ),
-    "time: drop a window flag": ("build_time_chain", lambda b: _drop_gate_on(b, lambda lay: lay.time_ok.qubit(1))),
+    "time: drop a window flag": (
+        "mixed4",
+        "build_time_chain",
+        lambda b: _drop_gate_on(b, lambda lay: lay.time_ok.qubit(1)),
+    ),
+    "time: drop a vacuous window flag": (
+        "vacuous3",
+        "build_time_chain",
+        lambda b: _drop_gate_on(b, lambda lay: lay.time_ok.qubit(1)),
+    ),
     "cost: wrong depot leg of customer 1": (
+        "mixed4",
         "build_cost_accumulator",
         lambda b: _with_table(b, "D", lambda D: ((0, D[0][1] + 3, *D[0][2:]), *D[1:])),
     ),
+    "cost: adder narrower than its bound": ("mixed4", "build_cost_accumulator", _narrow_first_cost_adder),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_equivalence_scan_catches_chain_faults(fault, mixed4, monkeypatch):
+def test_equivalence_scan_catches_chain_faults(fault, request, monkeypatch):
     """A chain built wrong changes which states the circuit marks. The mirror
     is the compute phase reversed, so the fault uncomputes cleanly and shows
     only as a wrong mark: the reference must catch it."""
-    name, make_faulty = FAULTS[fault]
-    _, _, opt = brute_force_optimum(mixed4)
-    reports = [equivalence_scan(mixed4, k) for k in (opt + 1, 10**6)]
+    fixture, name, make_faulty = FAULTS[fault]
+    inst = request.getfixturevalue(fixture)
+    _, _, opt = brute_force_optimum(inst)
+    reports = [equivalence_scan(inst, k) for k in (opt + 1, 10**6)]
     monkeypatch.setattr(oracle, name, make_faulty(getattr(oracle, name)))
-    faulty = [equivalence_scan(mixed4, k) for k in (opt + 1, 10**6)]
+    faulty = [equivalence_scan(inst, k) for k in (opt + 1, 10**6)]
     assert all(r.clean for r in reports)
     assert any(r.mismatches for r in faulty), fault
     assert all(r.dirty_ancillas == 0 and r.decision_changed == 0 for r in faulty)

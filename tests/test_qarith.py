@@ -28,6 +28,7 @@ from cvrptw_gas.qarith import (
     build_lt_const,
     build_lt_register,
     build_max_with_const,
+    build_pair_matrix_encoder,
     build_pair_neq,
 )
 
@@ -211,6 +212,31 @@ def test_encoder_value_overflow():
     out_reg = host.add_register("out", 2)
     with pytest.raises(CircuitError, match="fit"):
         build_conditional_encoder(idx_reg, [0, 4], out_reg)
+
+
+@pytest.mark.parametrize("polarity", [True, False])
+def test_pair_matrix_encoder_exhaustive(polarity):
+    """``out ^= matrix[u][v]`` for distinct u, v in the valid range when the
+    control reads ``polarity``; every other input leaves ``out`` zero."""
+    rng = random.Random(int(polarity))
+    matrix = [[rng.randrange(16) for _ in range(8)] for _ in range(8)]
+    valid = range(1, 7)
+    host = Circuit()
+    a = host.add_register("a", 3)
+    b = host.add_register("b", 3)
+    ctl = host.add_register("ctl", 1)
+    out_reg = host.add_register("out", 4)
+    block = build_pair_matrix_encoder(
+        a, b, matrix, valid, out_reg, controls=[(ctl.qubit(0), polarity)], qubit_count=host.qubit_count
+    )
+    out, count = run_exhaustive(host, block, 7)
+    got = register_values(out, out_reg, count)
+    for s in range(count):
+        u, v, fire = s & 7, (s >> 3) & 7, bool(s >> 6) == polarity
+        expect = matrix[u][v] if fire and u != v and u in valid and v in valid else 0
+        assert got[s] == expect, (u, v, s >> 6)
+    assert (register_values(out, a, count) == np.arange(count) & 7).all()
+    assert (register_values(out, b, count) == (np.arange(count) >> 3) & 7).all()
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
