@@ -19,7 +19,6 @@ from .circuit import (
     RegisterRef,
     ResourceReport,
     count_resources,
-    eval_basis,
     eval_statevector,
     inverse,
 )
@@ -28,7 +27,6 @@ from .grover import (
     GasConfig,
     GasResult,
     SearchTrace,
-    count_marked,
     gas_minimize,
     qsearch,
     statevector_grover,

@@ -14,7 +14,6 @@ float64 at half the bytes of complex128.
 
 Bit-order convention, binding everywhere in this package: qubit ``start + j``
 of a register is bit ``j`` (the least significant) of the integer it encodes.
-In string form, the character at position ``i`` is qubit ``i``.
 """
 
 from __future__ import annotations
@@ -174,12 +173,30 @@ def inverse(c: Circuit) -> Circuit:
     return Circuit(c.qubit_count, dict(c.registers), list(reversed(c.gates)))
 
 
+def phase_kickback(marking: Circuit) -> Circuit:
+    """Phase-flip form of a marking circuit: X and H put its one-qubit
+    ``marked`` register in the |-> state before the marking gates and take it
+    back after, so marking becomes a sign flip on the marked basis states."""
+    out = marking.registers["marked"].qubit(0)
+    c = Circuit(marking.qubit_count, dict(marking.registers))
+    c.x(out)
+    c.h(out)
+    c.extend(marking)
+    c.h(out)
+    c.x(out)
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Basis-state evaluation
 
 
-def _apply_to_int(gates, state: int) -> int:
-    for g in gates:
+def eval_basis_int(c: Circuit, state: int) -> int:
+    """Image of one basis state under an H-free circuit; bit i of ``state``
+    is qubit i."""
+    if state < 0 or state >> c.qubit_count:
+        raise CircuitError("state outside the circuit's qubit range")
+    for g in c.gates:
         if g.kind == "x":
             state ^= 1 << g.target
         elif g.kind == "mcx":
@@ -191,32 +208,6 @@ def _apply_to_int(gates, state: int) -> int:
         else:
             raise CircuitError("basis evaluator handles permutation gates only (no H)")
     return state
-
-
-def bits_to_int(bits: str) -> int:
-    return sum(1 << i for i, ch in enumerate(bits) if ch == "1")
-
-
-def int_to_bits(state: int, qubit_count: int) -> str:
-    return "".join("1" if state & (1 << i) else "0" for i in range(qubit_count))
-
-
-def eval_basis(c: Circuit, bits: str) -> str:
-    """Image of one basis state under an H-free circuit.
-
-    ``bits`` is a string with qubit 0 leftmost; the result uses the same
-    convention.
-    """
-    if len(bits) != c.qubit_count:
-        raise CircuitError(f"state has {len(bits)} bits, circuit has {c.qubit_count} qubits")
-    return int_to_bits(_apply_to_int(c.gates, bits_to_int(bits)), c.qubit_count)
-
-
-def eval_basis_int(c: Circuit, state: int) -> int:
-    """Integer-mask variant of :func:`eval_basis` (bit i = qubit i)."""
-    if state < 0 or state >> c.qubit_count:
-        raise CircuitError("state outside the circuit's qubit range")
-    return _apply_to_int(c.gates, state)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ def _log(message: str) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise InstanceError(f"--budget must be nonnegative, got {args.budget}")
     inst = _load_instance(args.instance)
     if args.method == "brute":
         P, y, cost = classical.brute_force_optimum(inst)
@@ -81,17 +83,11 @@ def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
 
 
 def _cmd_verify_oracle(args) -> int:
+    if args.samples < 1:
+        raise InstanceError(f"--samples must be at least 1, got {args.samples}")
     inst = _load_instance(args.instance)
-    layout = oracle.build_layout(inst, args.k)
-    if args.mode == "exhaustive":
-        if layout.decision_bits > oracle.EXHAUSTIVE_SCAN_CAP_BITS:
-            raise InstanceError(
-                f"{layout.decision_bits} decision bits exceed the exhaustive cap "
-                f"of {oracle.EXHAUSTIVE_SCAN_CAP_BITS}"
-            )
-        report = oracle.equivalence_scan(inst, args.k)
-    else:
-        report = oracle.equivalence_scan(inst, args.k, indices=sample_indices(inst, args.samples, args.seed or 0))
+    indices = sample_indices(inst, args.samples, args.seed or 0) if args.mode == "sample" else None
+    report = oracle.equivalence_scan(inst, args.k, indices=indices)
     _emit(
         {
             "assignments_checked": report.assignments_checked,

@@ -38,6 +38,7 @@ from .circuit import (
     enumeration_columns,
     eval_basis_batch,
     eval_statevector,
+    phase_kickback,
 )
 from .classical import InfeasibleError, feasible_and_cost
 from .instance import Instance, RouteSet, decode_assignment, unpack_assignment
@@ -47,6 +48,10 @@ from .resources import cost_upper_bound, register_widths
 CANDIDATE_CAP = 1 << 23
 # (tour, split) cells per sweep block; bounds the working memory beside the kept table.
 _BLOCK_ROWS = 1 << 18
+# Growth factor of the exponential search schedule (Boyer, Brassard, Hoyer and
+# Tapp, quant-ph/9605034); any value strictly between 1 and 4/3 keeps its
+# expected cost O(sqrt(N/M)).
+GROWTH_FACTOR = 8 / 7
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -69,13 +74,8 @@ def search_space(inst: Instance) -> SearchSpace:
 @dataclass(frozen=True)
 class GasConfig:
     rng_seed: int
-    lam: float = 8 / 7  # growth factor of the exponential search schedule
     max_oracle_calls: int | None = None
     initial_k: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 1.0 < self.lam < 4 / 3:
-            raise ValueError("growth factor must lie strictly between 1 and 4/3")
 
 
 def success_probability(N: int, M: int, m: int) -> float:
@@ -185,20 +185,6 @@ def feasible_table(inst: Instance) -> FeasibleTable:
     )
 
 
-def count_marked(inst: Instance, k, sample_limit: int = 0):
-    """Exact number of assignments the oracle would mark at threshold ``k``,
-    plus up to ``sample_limit`` of them decoded in index order."""
-    table = feasible_table(inst)
-    sel = table.costs < k
-    M = int(sel.sum())
-    samples = []
-    if sample_limit:
-        b_node = register_widths(inst).b_node
-        for idx in table.indices[sel][:sample_limit]:
-            samples.append(unpack_assignment(inst.n, b_node, int(idx)))
-    return M, samples
-
-
 # ---------------------------------------------------------------------------
 # Threshold search and adaptive minimization
 
@@ -258,7 +244,7 @@ def qsearch(
         if hit:
             index, cost = table.sample(k, rng)
             return QSearchOutcome(index, cost, ThresholdRecord(k, M, tuple(trials), calls), False, False)
-        bound = min(cfg.lam * bound, sqrt_n)
+        bound = min(GROWTH_FACTOR * bound, sqrt_n)
         if cfg.max_oracle_calls is not None and calls_before + calls >= cfg.max_oracle_calls:
             return QSearchOutcome(None, None, ThresholdRecord(k, M, tuple(trials), calls), False, True)
 
@@ -271,23 +257,6 @@ class SearchTrace:
     @property
     def total_oracle_calls(self) -> int:
         return sum(t.oracle_calls for t in self.thresholds)
-
-    def to_dict(self, best: dict | None = None) -> dict:
-        doc = {
-            "seed": self.seed,
-            "thresholds": [
-                {
-                    "k": t.k,
-                    "M": t.M,
-                    "trials": [{"m": tr.m, "success": tr.success} for tr in t.trials],
-                    "oracle_calls": t.oracle_calls,
-                }
-                for t in self.thresholds
-            ],
-        }
-        if best is not None:
-            doc["best"] = best
-        return doc
 
 
 @dataclass(frozen=True)
@@ -307,7 +276,19 @@ class GasResult:
         }
 
     def trace_dict(self) -> dict:
-        return self.trace.to_dict(self.best_dict())
+        return {
+            "seed": self.trace.seed,
+            "thresholds": [
+                {
+                    "k": t.k,
+                    "M": t.M,
+                    "trials": [{"m": tr.m, "success": tr.success} for tr in t.trials],
+                    "oracle_calls": t.oracle_calls,
+                }
+                for t in self.trace.thresholds
+            ],
+            "best": self.best_dict(),
+        }
 
 
 def _initial_threshold(inst: Instance) -> int:
@@ -396,15 +377,12 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
         cols[q] = col
     marked_patterns = column_bits(eval_basis_batch(oracle, cols, 1 << bits)[out], 1 << bits)
 
+    phase = phase_kickback(oracle)
     g = Circuit(nq, dict(oracle.registers))
     for q in decision_qubits:
         g.h(q)
     for _ in range(m):
-        g.x(out)
-        g.h(out)
-        g.extend(oracle)
-        g.h(out)
-        g.x(out)
+        g.extend(phase)
         # inversion about the mean over the decision qubits
         for q in decision_qubits:
             g.h(q)

@@ -56,6 +56,7 @@ from .circuit import (
     enumeration_columns,
     eval_basis_batch,
     inverse,
+    phase_kickback,
 )
 from .grover import _BLOCK_ROWS, _feasible_block
 from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
@@ -234,10 +235,10 @@ def build_uniqueness(layout: OracleLayout) -> Circuit:
     return c
 
 
-def build_capacity_chain(layout: OracleLayout, inst: Instance | None = None) -> Circuit:
+def build_capacity_chain(layout: OracleLayout) -> Circuit:
     """Per position: encode the demand, add the previous load unless the
     previous split bit is set, then flag ``load <= capacity``."""
-    inst = inst or layout.inst
+    inst = layout.inst
     n = inst.n
     w = layout.widths.w_cap
     c = layout.empty_circuit()
@@ -274,7 +275,7 @@ def build_capacity_chain(layout: OracleLayout, inst: Instance | None = None) -> 
     return c
 
 
-def build_time_chain(layout: OracleLayout, inst: Instance | None = None) -> Circuit:
+def build_time_chain(layout: OracleLayout) -> Circuit:
     """Per position: seed the clock from the depot on a fresh route, otherwise
     carry the previous clock forward and add the leg time; lift to the window
     opening with the max gadget; flag ``clock <= window close``.
@@ -286,7 +287,7 @@ def build_time_chain(layout: OracleLayout, inst: Instance | None = None) -> Circ
     registers stay zero. Out-of-range codes then pass the window check too;
     the tour-validity flag already rejects them.
     """
-    inst = inst or layout.inst
+    inst = layout.inst
     n = inst.n
     w = layout.widths.w_time
     c = layout.empty_circuit()
@@ -359,11 +360,12 @@ def build_time_chain(layout: OracleLayout, inst: Instance | None = None) -> Circ
     return c
 
 
-def build_exit_leg_encoder(layout: OracleLayout, inst: Instance, i: int, out: RegisterRef) -> Circuit:
+def build_exit_leg_encoder(layout: OracleLayout, i: int, out: RegisterRef) -> Circuit:
     """``out ^=`` the leg that leaves position ``i - 1`` (``i >= 1``): the
     return ``D[P_{i-1}][0]`` when split bit ``i - 1`` is set, else the direct
     leg ``D[P_{i-1}][P_i]``. The two encoders have opposite split controls,
     so exactly one of them writes."""
+    inst = layout.inst
     restart = (layout.split.qubit(i - 1), True)
     carry_on = (layout.split.qubit(i - 1), False)
     back_home = _customer_table(inst, lambda v: inst.D[v][0])
@@ -384,7 +386,7 @@ def build_exit_leg_encoder(layout: OracleLayout, inst: Instance, i: int, out: Re
     return c
 
 
-def build_cost_accumulator(layout: OracleLayout, inst: Instance | None = None, k: int | None = None) -> Circuit:
+def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     """Accumulate the objective legs into the cost register and flag
     ``cost < k``.
 
@@ -398,8 +400,7 @@ def build_cost_accumulator(layout: OracleLayout, inst: Instance | None = None, k
     stay zero and the next pool qubit seeds the carry. The full register is
     sized so no assignment can wrap it.
     """
-    inst = inst or layout.inst
-    k = layout.k if k is None else k
+    inst = layout.inst
     n = inst.n
     w = layout.widths.w_cost
     c = layout.empty_circuit()
@@ -421,7 +422,7 @@ def build_cost_accumulator(layout: OracleLayout, inst: Instance | None = None, k
 
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)
-        add_encoded(build_exit_leg_encoder(layout, inst, i, layout.pool_value(w)), max(max(back_home), direct))
+        add_encoded(build_exit_leg_encoder(layout, i, layout.pool_value(w)), max(max(back_home), direct))
         add_encoded(
             build_conditional_encoder(
                 layout.tour[i], to_first, layout.pool_value(w), controls=[restart], qubit_count=c.qubit_count
@@ -433,7 +434,7 @@ def build_cost_accumulator(layout: OracleLayout, inst: Instance | None = None, k
         max(back_home),
     )
     # Any threshold above the register range marks every cost.
-    k_eff = min(k, 1 << w)
+    k_eff = min(layout.k, 1 << w)
     c.extend(
         build_lt_const(layout.cost, k_eff, layout.cost_ok, layout.pool.slice(0, w + 1), qubit_count=c.qubit_count)
     )
@@ -473,17 +474,9 @@ def build_oracle(inst: Instance, k: int) -> Circuit:
 
 
 def build_phase_oracle(inst: Instance, k: int) -> Circuit:
-    """Phase-flip variant: the output qubit is conjugated into the |-> state
-    so marking becomes a sign flip on marked decision assignments."""
-    layout = build_layout(inst, k)
-    marking = build_oracle(inst, k)
-    c = layout.empty_circuit()
-    c.x(layout.marked)
-    c.h(layout.marked)
-    c.extend(marking)
-    c.h(layout.marked)
-    c.x(layout.marked)
-    return c
+    """Phase-flip variant (:func:`~cvrptw_gas.circuit.phase_kickback`):
+    marking becomes a sign flip on marked decision assignments."""
+    return phase_kickback(build_oracle(inst, k))
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +604,11 @@ def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
     """Run the oracle over basis states and compare its marks with
     :func:`reference_marks`.
 
-    ``indices`` selects the assignments to check; None means all of them
-    (refused above :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits). The states
-    run through the circuit in chunks of 2^_SCAN_CHUNK_BITS. Working registers
-    start at zero; afterwards every one of them must read zero and the
-    decision bits must be unchanged.
+    ``indices`` selects the assignments to check; None means all of them,
+    refused above :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits before the
+    oracle is built. The states run through the circuit in chunks of
+    2^_SCAN_CHUNK_BITS. Working registers start at zero; afterwards every one
+    of them must read zero and the decision bits must be unchanged.
     """
     # The cyclic collector is paused for the scan. The oracle (thousands of
     # gates) lives until the scan returns and holds no reference cycles, so a
@@ -633,13 +626,13 @@ def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
 
 def _scan(inst: Instance, k: int, indices) -> ScanReport:
     layout = build_layout(inst, k)
-    circuit = build_oracle(inst, k)
     bits = layout.decision_bits
     if indices is None:
         if bits > EXHAUSTIVE_SCAN_CAP_BITS:
-            raise ValueError(f"exhaustive scan refused beyond {EXHAUSTIVE_SCAN_CAP_BITS} decision bits")
+            raise ValueError(f"{bits} decision bits exceed the exhaustive cap of {EXHAUSTIVE_SCAN_CAP_BITS}")
     else:
         indices = np.asarray(list(indices), dtype=np.int64)
+    circuit = build_oracle(inst, k)
     checked = mismatches = dirty_states = changed_states = 0
     for chunk, decision_cols in _scan_chunks(bits, indices):
         count = len(chunk)

@@ -1,28 +1,14 @@
-"""Shared instances and helpers for the test suite."""
+"""Shared fixtures for the test suite; the helpers behind them are in
+``support.py``."""
 
-import functools
-import json
 import random
 
-import numpy as np
 import pytest
 
-from cvrptw_gas.instance import parse_instance, six_customer_example, unpack_assignment
-from cvrptw_gas.oracle import mark_predicate
-from cvrptw_gas.resources import register_widths
+from cvrptw_gas.instance import six_customer_example
 
-
-def make_instance(doc: dict):
-    return parse_instance(json.dumps(doc))
-
-
-@functools.lru_cache(maxsize=None)
-def predicate_marks(inst, k) -> np.ndarray:
-    """``mark_predicate`` at threshold ``k`` on every assignment index, in
-    index order; cached because several tests scan the same fixtures."""
-    n, b_node = inst.n, register_widths(inst).b_node
-    bits = n * b_node + n
-    return np.array([mark_predicate(inst, k, *unpack_assignment(n, b_node, s)).marked for s in range(1 << bits)])
+# The acceptance suite imports make_instance and random_instance from here.
+from support import binding_instance, make_instance, random_instance  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -110,21 +96,6 @@ def vacuous3():
     )
 
 
-def binding_instance(rng, n):
-    """A random instance where capacity and windows both reject candidates and
-    some windows open after the earliest arrival, so waiting delays the rest
-    of a route. Single-customer routes stay feasible."""
-    side = n + 1
-    D = [[0 if i == j else rng.randint(1, 9) for j in range(side)] for i in range(side)]
-    c_max = rng.randint(3, 6)
-    demands = [rng.randint(1, c_max) for _ in range(n)]
-    windows = []
-    for i in range(1, side):
-        opening = max(0, D[0][i] + rng.randint(-3, 8))
-        windows.append([opening, opening + rng.randint(4, 25)])
-    return make_instance({"n": n, "c_max": c_max, "distance": D, "demands": demands, "windows": windows})
-
-
 @pytest.fixture(scope="session")
 def bound7():
     return binding_instance(random.Random(7), 7)
@@ -133,19 +104,3 @@ def bound7():
 @pytest.fixture(scope="session")
 def bound8():
     return binding_instance(random.Random(8), 8)
-
-
-def random_instance(rng, n, with_windows):
-    """A small random instance; always keeps single-customer routes feasible."""
-    side = n + 1
-    D = [[0 if i == j else rng.randint(1, 9) for j in range(side)] for i in range(side)]
-    c_max = rng.randint(3, 6)
-    demands = [rng.randint(1, c_max) for _ in range(n)]
-    doc = {"n": n, "c_max": c_max, "distance": D, "demands": demands}
-    if with_windows:
-        windows = []
-        for i in range(1, side):
-            earliest = max(0, D[0][i] - rng.randint(0, 3))
-            windows.append([earliest, D[0][i] + rng.randint(2, 25)])
-        doc["windows"] = windows
-    return make_instance(doc)

@@ -8,15 +8,17 @@ import pytest
 from cvrptw_gas.circuit import (
     Circuit,
     CircuitError,
+    Gate,
     count_resources,
     enumeration_columns,
-    eval_basis,
     eval_basis_batch,
     eval_basis_int,
     eval_statevector,
     inverse,
+    phase_kickback,
     register_values,
 )
+from cvrptw_gas.grover import synthetic_marking_oracle
 
 
 def random_permutation_circuit(rng, qubits, gates):
@@ -36,35 +38,36 @@ def random_permutation_circuit(rng, qubits, gates):
 
 def test_empty_circuit_is_identity():
     c = Circuit(qubit_count=4)
-    assert eval_basis(c, "0110") == "0110"
+    assert eval_basis_int(c, 0b0110) == 0b0110
 
 
 def test_x_flips_leftmost_convention():
+    """Qubit i is bit i of the state, so qubit 0 is the lowest bit."""
     c = Circuit(qubit_count=4)
     c.x(0)
-    assert eval_basis(c, "0000") == "1000"
+    assert eval_basis_int(c, 0b0000) == 0b0001
 
 
 def test_toffoli_truth_table():
     c = Circuit(qubit_count=3)
     c.ccx(0, 1, 2)
-    assert eval_basis(c, "110") == "111"
-    assert eval_basis(c, "100") == "100"
-    assert eval_basis(c, "111") == "110"
+    assert eval_basis_int(c, 0b011) == 0b111
+    assert eval_basis_int(c, 0b001) == 0b001
+    assert eval_basis_int(c, 0b111) == 0b011
 
 
 def test_negative_controls():
     c = Circuit(qubit_count=2)
     c.mcx([(0, False)], 1)
-    assert eval_basis(c, "00") == "01"
-    assert eval_basis(c, "10") == "10"
+    assert eval_basis_int(c, 0b00) == 0b10
+    assert eval_basis_int(c, 0b01) == 0b01
 
 
 def test_basis_eval_rejects_h():
     c = Circuit(qubit_count=1)
     c.h(0)
     with pytest.raises(CircuitError, match="permutation"):
-        eval_basis(c, "0")
+        eval_basis_int(c, 0)
 
 
 def test_gate_validation():
@@ -85,6 +88,19 @@ def test_inverse_reverses_gates():
     assert [g.kind for g in inv.gates] == ["mcx", "x"]
     assert inverse(inverse(c)).gates == c.gates
     assert inverse(Circuit(qubit_count=1)).gates == []
+
+
+def test_phase_kickback_wraps_marking_gates():
+    """X and H on the marked qubit, the marking gates, then H and X again,
+    over the marking circuit's own qubits and registers."""
+    marking = synthetic_marking_oracle(3, [5, 6])
+    out = marking.registers["marked"].qubit(0)
+    assert out == 3
+    phase = phase_kickback(marking)
+    x, h = Gate("x", out), Gate("h", out)
+    assert phase.gates == [x, h, *marking.gates, h, x]
+    assert phase.qubit_count == marking.qubit_count
+    assert phase.registers == marking.registers
 
 
 def test_inverse_composition_is_identity():

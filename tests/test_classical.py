@@ -16,7 +16,7 @@ from cvrptw_gas.classical import (
 )
 from cvrptw_gas.instance import InstanceError
 
-from conftest import make_instance, random_instance
+from support import make_instance, random_instance
 
 SIX_CUSTOMER_OPTIMUM = 181  # frozen from this module's own brute-force oracle
 

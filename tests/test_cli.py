@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -104,10 +105,36 @@ def test_budget_exit_code(capsys, example_path):
     assert code == 4
 
 
+def test_solve_rejects_negative_budget(capsys, example_path):
+    code, out, err = run_cli(capsys, "solve", example_path, "--seed", "1", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+    # A zero budget is valid input: the search runs and exhausts it.
+    code, _, err = run_cli(capsys, "solve", example_path, "--seed", "1", "--budget", "0")
+    assert code == 4
+    assert "budget 0 exhausted" in err
+
+
 def test_byte_identical_reruns(capsys, small_path):
     _, out1, _ = run_cli(capsys, "solve", small_path, "--seed", "7")
     _, out2, _ = run_cli(capsys, "solve", small_path, "--seed", "7")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        ("0", "a75115720738d77b2f93af4b4d4a072bd98bdb977bf9b90fee923b7fbe771fc3"),
+        ("42", "f40d8429130dd80f9dc3bdd40c303880715ede92007200935b0394429ba16914"),
+    ],
+)
+def test_solve_gas_stdout_pinned(capsys, example_path, seed, digest):
+    """Seeded GAS output on the paper's example, byte for byte: any change to
+    the search schedule, the sweep or the trace layout moves these digests."""
+    code, out, _ = run_cli(capsys, "solve", example_path, "--method", "gas", "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_oracle_exhaustive(capsys, small_path):
@@ -129,6 +156,15 @@ def test_verify_oracle_sample_mode(capsys, example_path):
     assert doc["assignments_checked"] == 2000
     assert doc["mismatches"] == 0
     assert doc["decision_changed"] == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_oracle_rejects_nonpositive_samples(capsys, small_path, samples):
+    """A sample scan of no states would check nothing and still pass."""
+    code, out, err = run_cli(capsys, "verify-oracle", small_path, "--k", "19", "--mode", "sample", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
 
 
 def test_verify_oracle_samples_are_half_well_formed(example6):

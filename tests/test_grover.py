@@ -2,6 +2,7 @@
 adaptive minimization, and statevector cross-validation."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,7 +20,6 @@ from cvrptw_gas.grover import (
     BudgetExhaustedError,
     GasConfig,
     candidate_count,
-    count_marked,
     feasible_table,
     gas_minimize,
     qsearch,
@@ -31,20 +31,20 @@ from cvrptw_gas.grover import (
 from cvrptw_gas.oracle import mark_predicate, pack_assignment, unpack_assignment
 from cvrptw_gas.resources import register_widths
 
-from conftest import make_instance, predicate_marks
+from support import make_instance, predicate_marks
 
 
 def test_count_marked_zero_threshold(vacuous3):
-    assert count_marked(vacuous3, 0)[0] == 0
+    assert feasible_table(vacuous3).count(0) == 0
 
 
 def test_count_marked_vacuous_instance(vacuous3):
     # 3! orderings, free interior split bits, last bit forced
-    M, samples = count_marked(vacuous3, 10**6, sample_limit=5)
-    assert M == 24
-    assert len(samples) == 5
-    for P, y in samples:
-        assert mark_predicate(vacuous3, 10**6, P, y).marked
+    table = feasible_table(vacuous3)
+    assert table.count(10**6) == len(table.indices) == 24
+    b_node = register_widths(vacuous3).b_node
+    for idx in table.indices:
+        assert mark_predicate(vacuous3, 10**6, *unpack_assignment(3, b_node, int(idx))).marked
 
 
 def test_count_marked_agrees_with_predicate_scan(cap_bound3, window_bound3, mixed4):
@@ -55,7 +55,7 @@ def test_count_marked_agrees_with_predicate_scan(cap_bound3, window_bound3, mixe
         for k in (0, 12, 17, 37, 10**6):
             direct = np.flatnonzero(predicate_marks(inst, k))
             np.testing.assert_array_equal(table.indices[table.costs < k], direct)
-            assert count_marked(inst, k)[0] == len(direct)
+            assert table.count(k) == len(direct)
 
 
 def slack7():
@@ -79,8 +79,9 @@ def test_count_marked_exact_at_n7():
         for interior in itertools.product((0, 1), repeat=6)
     )
     assert sum(hist.values()) == candidate_count(7) == 322_560
+    table = feasible_table(inst)
     for k in range(min(hist), max(hist) + 2):
-        assert count_marked(inst, k)[0] == sum(m for cost, m in hist.items() if cost < k)
+        assert table.count(k) == sum(m for cost, m in hist.items() if cost < k)
 
 
 def test_candidate_cap_refuses_n9(tmp_path, capsys):
@@ -93,7 +94,7 @@ def test_candidate_cap_refuses_n9(tmp_path, capsys):
     count = candidate_count(9)
     assert count == 92_897_280 > CANDIDATE_CAP >= candidate_count(8)
     with pytest.raises(ValueError, match=f"{count} .* candidate cap of {CANDIDATE_CAP}"):
-        count_marked(make_instance(doc), 5)
+        feasible_table(make_instance(doc))
     path = tmp_path / "nine.json"
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path), "--method", "gas", "--seed", "0"]) == 2
@@ -224,11 +225,11 @@ def test_gas_initial_threshold_override(cap_bound3):
 
 
 def test_gas_config_growth_factor_bounds():
-    with pytest.raises(ValueError):
-        GasConfig(rng_seed=0, lam=1.0)
-    with pytest.raises(ValueError):
-        GasConfig(rng_seed=0, lam=4 / 3)
-    assert GasConfig(rng_seed=0).lam == pytest.approx(8 / 7)
+    """The schedule's growth factor is one constant inside the open interval
+    (1, 4/3) that the exponential-search bound needs, not a config field."""
+    assert 1 < grover.GROWTH_FACTOR < 4 / 3
+    assert grover.GROWTH_FACTOR == 8 / 7
+    assert [f.name for f in dataclasses.fields(GasConfig)] == ["rng_seed", "max_oracle_calls", "initial_k"]
 
 
 def test_gas_matches_brute_force_small(cap_bound3, window_bound3, mixed4):

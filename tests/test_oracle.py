@@ -18,6 +18,7 @@ from cvrptw_gas.circuit import (
     eval_basis_int,
     register_values,
 )
+from cvrptw_gas.grover import feasible_table
 from cvrptw_gas.oracle import (
     LayoutError,
     build_capacity_chain,
@@ -36,7 +37,7 @@ from cvrptw_gas.oracle import (
 from cvrptw_gas.qarith import build_adder
 from cvrptw_gas.resources import register_widths
 
-from conftest import binding_instance, make_instance, predicate_marks
+from support import binding_instance, make_instance, predicate_marks
 
 
 def run_block_on(layout, block, P, y):
@@ -278,7 +279,7 @@ def test_exit_leg_encoder_writes_one_table(mixed4):
     layout = build_layout(inst, 100)
     out_ref = layout.pool_value(layout.widths.w_cost)
     host = layout.empty_circuit()
-    host.extend(build_exit_leg_encoder(layout, inst, 2, out_ref))
+    host.extend(build_exit_leg_encoder(layout, 2, out_ref))
     bits = layout.decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
@@ -347,9 +348,8 @@ def test_oracle_equivalence_exhaustive(vacuous3):
 
 
 def test_oracle_threshold_monotone(cap_bound3):
-    from cvrptw_gas.grover import count_marked
-
-    counts = [count_marked(cap_bound3, k)[0] for k in (0, 15, 19, 25, 10**6)]
+    table = feasible_table(cap_bound3)
+    counts = [table.count(k) for k in (0, 15, 19, 25, 10**6)]
     assert counts == sorted(counts)
 
 
@@ -382,9 +382,7 @@ def test_oracle_single_customer_exhaustive(single_customer):
     for k, marked_total in ((0, 0), (14, 0), (15, 1), (10**6, 1)):
         report = equivalence_scan(inst, k)
         assert report.clean
-        from cvrptw_gas.grover import count_marked
-
-        assert count_marked(inst, k)[0] == marked_total
+        assert feasible_table(inst).count(k) == marked_total
 
 
 def test_oracle_windowed_pair_exhaustive(windowed_pair):
@@ -489,11 +487,33 @@ def test_scan_runs_no_collection_and_restores_collector(mixed4):
         gc.enable()
 
 
+def test_exhaustive_scan_refuses_over_cap_before_building(monkeypatch):
+    """n = 7 has 28 decision bits: the exhaustive scan names the bit count
+    and the cap, and refuses before the oracle is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the oracle of an over-cap exhaustive scan")
+
+    monkeypatch.setattr(oracle, "build_oracle", refuse)
+    inst = make_instance(
+        {
+            "n": 7,
+            "c_max": 7,
+            "distance": [[0 if i == j else 1 + (i + j) % 4 for j in range(8)] for i in range(8)],
+            "demands": [1] * 7,
+        }
+    )
+    cap = oracle.EXHAUSTIVE_SCAN_CAP_BITS
+    assert build_layout(inst, 5).decision_bits == 28 > cap
+    with pytest.raises(ValueError, match=f"^28 decision bits exceed the exhaustive cap of {cap}$"):
+        equivalence_scan(inst, 5)
+
+
 def _drop_gate_on(builder, qubit_of):
     """``builder`` with its last gate that targets ``qubit_of(layout)`` removed."""
 
-    def faulty(layout, *args, **kwargs):
-        c = builder(layout, *args, **kwargs)
+    def faulty(layout):
+        c = builder(layout)
         target = qubit_of(layout)
         drop = max(i for i, g in enumerate(c.gates) if g.target == target)
         del c.gates[drop]
@@ -503,10 +523,10 @@ def _drop_gate_on(builder, qubit_of):
 
 
 def _with_table(builder, field, edit):
-    """``builder`` run on the layout's instance with one table edited."""
+    """``builder`` run on the layout with one table of its instance edited."""
 
-    def faulty(layout, *args, **kwargs):
-        return builder(layout, replace(layout.inst, **{field: edit(getattr(layout.inst, field))}))
+    def faulty(layout):
+        return builder(replace(layout, inst=replace(layout.inst, **{field: edit(getattr(layout.inst, field))})))
 
     return faulty
 
@@ -515,7 +535,7 @@ def _narrow_first_cost_adder(builder):
     """``builder`` with its first cost adder one bit narrower than the
     running bound: a carry into the top bit is lost."""
 
-    def faulty(layout, *args, **kwargs):
+    def faulty(layout):
         narrowed = []
 
         def adder(a, b, ancilla, **kw):
@@ -526,7 +546,7 @@ def _narrow_first_cost_adder(builder):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "build_adder", adder)
-            c = builder(layout, *args, **kwargs)
+            c = builder(layout)
         assert narrowed
         return c
 

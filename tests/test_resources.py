@@ -15,7 +15,7 @@ from cvrptw_gas.resources import (
     register_widths,
 )
 
-from conftest import make_instance
+from support import make_instance
 
 
 def test_register_widths_example(example6):
