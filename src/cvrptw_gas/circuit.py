@@ -62,10 +62,10 @@ class RegisterRef:
     def qubits(self) -> range:
         return range(self.start, self.stop)
 
-    def slice(self, offset: int, width: int, name: str = "") -> "RegisterRef":
+    def slice(self, offset: int, width: int) -> "RegisterRef":
         if offset < 0 or offset + width > self.width:
             raise CircuitError(f"slice [{offset}, {offset + width}) outside register {self.name!r}")
-        return RegisterRef(name or self.name, self.start + offset, width)
+        return RegisterRef(self.name, self.start + offset, width)
 
 
 @dataclass
@@ -124,6 +124,7 @@ class Circuit:
         self.mcx([pair(c1), pair(c2)], target)
 
     def extend(self, block: "Circuit") -> None:
+        """Append a block's gates; the block may be narrower than this circuit."""
         if block.qubit_count > self.qubit_count:
             raise CircuitError("block references more qubits than the host circuit")
         self.gates.extend(block.gates)

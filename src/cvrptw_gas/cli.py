@@ -8,6 +8,7 @@ input, 3 infeasible, 4 budget exhausted, 5 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -40,6 +41,11 @@ def _log(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InstanceError(f"--seed must be nonnegative, got {seed}")
+
+
 def _cmd_solve(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise InstanceError(f"--budget must be nonnegative, got {args.budget}")
@@ -54,6 +60,7 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     if args.seed is None:
         raise InstanceError("gas requires --seed for a reproducible trace")
+    _check_seed(args.seed)
     cfg = grover.GasConfig(rng_seed=args.seed, max_oracle_calls=args.budget, initial_k=args.initial_k)
     result = grover.gas_minimize(inst, cfg)
     _emit(
@@ -86,7 +93,10 @@ def _cmd_verify_oracle(args) -> int:
     if args.samples < 1:
         raise InstanceError(f"--samples must be at least 1, got {args.samples}")
     inst = _load_instance(args.instance)
-    indices = sample_indices(inst, args.samples, args.seed or 0) if args.mode == "sample" else None
+    indices = None
+    if args.mode == "sample":
+        _check_seed(args.seed)
+        indices = sample_indices(inst, args.samples, args.seed)
     report = oracle.equivalence_scan(inst, args.k, indices=indices)
     _emit(
         {
@@ -107,7 +117,7 @@ def _cmd_resources(args) -> int:
         inst = _load_instance(args.instance)
         widths = resources.register_widths(inst)
         budget = resources.instance_budget(inst)
-        t_max = max(b for _, b in inst.windows[1:])
+        t_max = resources.max_window_close(inst)
         doc = {
             "n": inst.n,
             "widths": {
@@ -117,17 +127,7 @@ def _cmd_resources(args) -> int:
                 "cost": widths.w_cost,
             },
             "figure_qubits": resources.figure_expression(inst.n, inst.c_max, t_max, resources.cost_upper_bound(inst)),
-            "budget": {
-                "tour": budget.tour,
-                "splits": budget.splits,
-                "all_different": budget.all_different,
-                "capacity": budget.capacity,
-                "time": budget.time,
-                "cost": budget.cost,
-                "output": budget.output,
-                "ancilla": budget.ancilla,
-                "total": budget.total,
-            },
+            "budget": {**dataclasses.asdict(budget), "total": budget.total},
             "quoted_six_customer_qubits": resources.QUOTED_SIX_CUSTOMER_QUBITS,
         }
         _emit(doc)

@@ -42,12 +42,14 @@ from .circuit import (
 )
 from .classical import InfeasibleError, feasible_and_cost
 from .instance import Instance, RouteSet, decode_assignment, unpack_assignment
-from .resources import cost_upper_bound, register_widths
+from .resources import cost_upper_bound, max_window_close, register_widths
 
 # Most well-formed candidates the sweep takes: n = 8 has 5,160,960, n = 9 has 92,897,280.
 CANDIDATE_CAP = 1 << 23
 # (tour, split) cells per sweep block; bounds the working memory beside the kept table.
 _BLOCK_ROWS = 1 << 18
+# The sweep holds costs, loads and clocks in int64.
+_SWEEP_VALUE_CAP = np.iinfo(np.int64).max
 # Growth factor of the exponential search schedule (Boyer, Brassard, Hoyer and
 # Tapp, quant-ph/9605034); any value strictly between 1 and 4/3 keeps its
 # expected cost O(sqrt(N/M)).
@@ -98,6 +100,20 @@ def candidate_count(n: int) -> int:
     return math.factorial(n) << (n - 1)
 
 
+def _check_sweep_range(inst: Instance) -> None:
+    """Refuse an instance whose sweep values could pass the int64 range: the
+    cost bound 2n * max D, the load n * c_max and, unless the windows are
+    vacuous (the sweep then skips the clock), the clock max close + n * max T.
+    Every matrix entry, demand and window bound the sweep reads is at most
+    one of these."""
+    peaks = {"cost bound": cost_upper_bound(inst), "load": inst.n * inst.c_max}
+    if not inst.windows_vacuous:
+        peaks["clock"] = max_window_close(inst) + inst.n * inst.max_travel
+    for what, peak in peaks.items():
+        if peak > _SWEEP_VALUE_CAP:
+            raise ValueError(f"the sweep's {what} can reach {peak}, past the 64-bit limit of {_SWEEP_VALUE_CAP}")
+
+
 def _feasible_block(inst: Instance, tours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(feasible mask, cost) for a block of tours under every split vector.
 
@@ -106,6 +122,7 @@ def _feasible_block(inst: Instance, tours: np.ndarray) -> tuple[np.ndarray, np.n
     at each position, once y[i - 1] is known: its lower half continues the
     route (y[i - 1] = 0), its upper half returns through the depot first.
     """
+    _check_sweep_range(inst)
     n = inst.n
     q = np.asarray(inst.q, dtype=np.int64)
     D = np.asarray(inst.D, dtype=np.int64)
@@ -388,14 +405,15 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
             g.h(q)
         for q in decision_qubits:
             g.x(q)
+        # H, then a flip of the top decision qubit controlled on all the others
+        # (a plain X when it is alone), then H: a multi-controlled Z.
+        top = decision_qubits[-1]
+        g.h(top)
         if bits == 1:
-            g.h(decision_qubits[0])
-            g.x(decision_qubits[0])
-            g.h(decision_qubits[0])  # Z on the lone qubit
+            g.x(top)
         else:
-            g.h(decision_qubits[-1])
-            g.mcx([(q, True) for q in decision_qubits[:-1]], decision_qubits[-1])
-            g.h(decision_qubits[-1])
+            g.mcx([(q, True) for q in decision_qubits[:-1]], top)
+        g.h(top)
         for q in decision_qubits:
             g.x(q)
         for q in decision_qubits:

@@ -118,9 +118,6 @@ class OracleLayout:
     def decision_bits(self) -> int:
         return self.inst.n * self.widths.b_node + self.inst.n
 
-    def decision_qubits(self) -> range:
-        return range(self.decision_bits)
-
     def empty_circuit(self) -> Circuit:
         return Circuit(self.qubit_count, dict(self.registers))
 
@@ -193,11 +190,11 @@ def build_layout(inst: Instance, k: int) -> OracleLayout:
     )
 
 
-def _customer_table(inst: Instance, value) -> list[int]:
+def _customer_table(layout: OracleLayout, value) -> list[int]:
     """Encoder table over raw position-register values: 0 for the depot code
     and for out-of-range codes, the customer's value otherwise."""
-    table = [0] * (1 << register_widths(inst).b_node)
-    for v in inst.customers:
+    table = [0] * (1 << layout.widths.b_node)
+    for v in layout.inst.customers:
         table[v] = value(v)
     return table
 
@@ -208,13 +205,9 @@ def build_uniqueness(layout: OracleLayout) -> Circuit:
     inst = layout.inst
     n = inst.n
     c = layout.empty_circuit()
-    valid_code = _customer_table(inst, lambda v: 1)
+    valid_code = _customer_table(layout, lambda v: 1)
     for i in range(n):
-        c.extend(
-            build_conditional_encoder(
-                layout.tour[i], valid_code, layout.in_range.slice(i, 1), qubit_count=c.qubit_count
-            )
-        )
+        c.extend(build_conditional_encoder(layout.tour[i], valid_code, layout.in_range.slice(i, 1)))
     idx = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -224,14 +217,13 @@ def build_uniqueness(layout: OracleLayout) -> Circuit:
                     layout.tour[j],
                     layout.distinct.qubit(idx),
                     layout.pool_value(layout.widths.b_node),
-                    qubit_count=c.qubit_count,
                 )
             )
             idx += 1
     flags = list(layout.in_range.qubits())
     if layout.distinct is not None:
         flags.extend(layout.distinct.qubits())
-    c.extend(build_and_reduce(flags, layout.valid_tour, qubit_count=c.qubit_count))
+    c.extend(build_and_reduce(flags, layout.valid_tour))
     return c
 
 
@@ -242,11 +234,9 @@ def build_capacity_chain(layout: OracleLayout) -> Circuit:
     n = inst.n
     w = layout.widths.w_cap
     c = layout.empty_circuit()
-    demand = _customer_table(inst, lambda v: inst.q[v])
+    demand = _customer_table(layout, lambda v: inst.q[v])
     for i in range(n):
-        c.extend(
-            build_conditional_encoder(layout.tour[i], demand, layout.load[i], qubit_count=c.qubit_count)
-        )
+        c.extend(build_conditional_encoder(layout.tour[i], demand, layout.load[i]))
         if i > 0:
             carry_gate = (layout.split.qubit(i - 1), False)
             scratch = layout.pool_value(w)
@@ -258,20 +248,11 @@ def build_capacity_chain(layout: OracleLayout) -> Circuit:
                     layout.load[i],
                     layout.pool_seed(w),
                     carry_out=layout.load_overflow.qubit(i - 1),
-                    qubit_count=c.qubit_count,
                 )
             )
             for j in range(w):
                 c.ccx(carry_gate, (layout.load[i - 1].qubit(j), True), scratch.qubit(j))
-        c.extend(
-            build_leq_const(
-                layout.load[i],
-                inst.c_max,
-                layout.load_ok.qubit(i),
-                layout.pool.slice(0, w + 1),
-                qubit_count=c.qubit_count,
-            )
-        )
+        c.extend(build_leq_const(layout.load[i], inst.c_max, layout.load_ok.qubit(i), layout.pool.slice(0, w + 1)))
     return c
 
 
@@ -295,24 +276,18 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
         for q in layout.time_ok.qubits():
             c.x(q)
         return c
-    from_depot = _customer_table(inst, lambda v: inst.T[0][v])
-    opening = _customer_table(inst, lambda v: inst.windows[v][0])
-    closing = _customer_table(inst, lambda v: inst.windows[v][1])
+    from_depot = _customer_table(layout, lambda v: inst.T[0][v])
+    opening = _customer_table(layout, lambda v: inst.windows[v][0])
+    closing = _customer_table(layout, lambda v: inst.windows[v][1])
     open_to_close = [a ^ b for a, b in zip(opening, closing)]
     window = layout.pool_value(w)
     for i in range(n):
         if i == 0:
-            c.extend(
-                build_conditional_encoder(layout.tour[0], from_depot, layout.clock[0], qubit_count=c.qubit_count)
-            )
+            c.extend(build_conditional_encoder(layout.tour[0], from_depot, layout.clock[0]))
         else:
             restart = (layout.split.qubit(i - 1), True)
             carry_on = (layout.split.qubit(i - 1), False)
-            c.extend(
-                build_conditional_encoder(
-                    layout.tour[i], from_depot, layout.clock[i], controls=[restart], qubit_count=c.qubit_count
-                )
-            )
+            c.extend(build_conditional_encoder(layout.tour[i], from_depot, layout.clock[i], controls=[restart]))
             for j in range(w):
                 c.ccx(carry_on, (layout.clock[i - 1].qubit(j), True), layout.clock[i].qubit(j))
             leg = build_pair_matrix_encoder(
@@ -322,7 +297,6 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 inst.customers,
                 layout.pool_value(w),
                 controls=[carry_on],
-                qubit_count=c.qubit_count,
             )
             c.extend(leg)
             c.extend(
@@ -331,11 +305,10 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                     layout.clock[i],
                     layout.pool_seed(w),
                     carry_out=layout.clock_overflow.qubit(i - 1),
-                    qubit_count=c.qubit_count,
                 )
             )
             c.extend(leg)  # XOR encoders are their own inverse
-        c.extend(build_conditional_encoder(layout.tour[i], opening, window, qubit_count=c.qubit_count))
+        c.extend(build_conditional_encoder(layout.tour[i], opening, window))
         c.extend(
             build_max_with_register(
                 layout.clock[i],
@@ -343,20 +316,11 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 layout.waited.qubit(i),
                 layout.clock_spill[i],
                 layout.pool_seed(w),
-                qubit_count=c.qubit_count,
             )
         )
-        c.extend(build_conditional_encoder(layout.tour[i], open_to_close, window, qubit_count=c.qubit_count))
-        c.extend(
-            build_leq_register(
-                layout.clock[i],
-                window,
-                layout.time_ok.qubit(i),
-                layout.pool_seed(w),
-                qubit_count=c.qubit_count,
-            )
-        )
-        c.extend(build_conditional_encoder(layout.tour[i], closing, window, qubit_count=c.qubit_count))
+        c.extend(build_conditional_encoder(layout.tour[i], open_to_close, window))
+        c.extend(build_leq_register(layout.clock[i], window, layout.time_ok.qubit(i), layout.pool_seed(w)))
+        c.extend(build_conditional_encoder(layout.tour[i], closing, window))
     return c
 
 
@@ -368,20 +332,11 @@ def build_exit_leg_encoder(layout: OracleLayout, i: int, out: RegisterRef) -> Ci
     inst = layout.inst
     restart = (layout.split.qubit(i - 1), True)
     carry_on = (layout.split.qubit(i - 1), False)
-    back_home = _customer_table(inst, lambda v: inst.D[v][0])
-    c = build_conditional_encoder(
-        layout.tour[i - 1], back_home, out, controls=[restart], qubit_count=layout.qubit_count
-    )
+    back_home = _customer_table(layout, lambda v: inst.D[v][0])
+    c = layout.empty_circuit()
+    c.extend(build_conditional_encoder(layout.tour[i - 1], back_home, out, controls=[restart]))
     c.extend(
-        build_pair_matrix_encoder(
-            layout.tour[i - 1],
-            layout.tour[i],
-            inst.D,
-            inst.customers,
-            out,
-            controls=[carry_on],
-            qubit_count=layout.qubit_count,
-        )
+        build_pair_matrix_encoder(layout.tour[i - 1], layout.tour[i], inst.D, inst.customers, out, controls=[carry_on])
     )
     return c
 
@@ -404,10 +359,10 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     n = inst.n
     w = layout.widths.w_cost
     c = layout.empty_circuit()
-    to_first = _customer_table(inst, lambda v: inst.D[0][v])
-    back_home = _customer_table(inst, lambda v: inst.D[v][0])
+    to_first = _customer_table(layout, lambda v: inst.D[0][v])
+    back_home = _customer_table(layout, lambda v: inst.D[v][0])
     direct = max((inst.D[u][v] for u in inst.customers for v in inst.customers if u != v), default=0)
-    c.extend(build_conditional_encoder(layout.tour[0], to_first, layout.cost, qubit_count=c.qubit_count))
+    c.extend(build_conditional_encoder(layout.tour[0], to_first, layout.cost))
     bound = max(to_first)
 
     def add_encoded(encoder: Circuit, table_max: int) -> None:
@@ -415,29 +370,23 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
         bound += table_max
         s = bits_for(bound)
         c.extend(encoder)
-        c.extend(
-            build_adder(layout.pool_value(s), layout.cost.slice(0, s), layout.pool_seed(s), qubit_count=c.qubit_count)
-        )
+        c.extend(build_adder(layout.pool_value(s), layout.cost.slice(0, s), layout.pool_seed(s)))
         c.extend(encoder)
 
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)
         add_encoded(build_exit_leg_encoder(layout, i, layout.pool_value(w)), max(max(back_home), direct))
         add_encoded(
-            build_conditional_encoder(
-                layout.tour[i], to_first, layout.pool_value(w), controls=[restart], qubit_count=c.qubit_count
-            ),
+            build_conditional_encoder(layout.tour[i], to_first, layout.pool_value(w), controls=[restart]),
             max(to_first),
         )
     add_encoded(
-        build_conditional_encoder(layout.tour[n - 1], back_home, layout.pool_value(w), qubit_count=c.qubit_count),
+        build_conditional_encoder(layout.tour[n - 1], back_home, layout.pool_value(w)),
         max(back_home),
     )
     # Any threshold above the register range marks every cost.
     k_eff = min(layout.k, 1 << w)
-    c.extend(
-        build_lt_const(layout.cost, k_eff, layout.cost_ok, layout.pool.slice(0, w + 1), qubit_count=c.qubit_count)
-    )
+    c.extend(build_lt_const(layout.cost, k_eff, layout.cost_ok, layout.pool.slice(0, w + 1)))
     return c
 
 

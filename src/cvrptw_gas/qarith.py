@@ -2,9 +2,11 @@
 
 Everything is built from the MAJ/UMA ripple-carry pieces of Cuccaro-style
 addition, a per-index fan-out encoder, and plain multi-controlled X gates.
-Each builder returns a standalone block circuit over absolute qubit indices
-so blocks can be concatenated into a host circuit and mirrored for
-uncomputation.
+Each builder returns a block circuit over absolute qubit indices, just wide
+enough for the qubits it touches, so blocks can be concatenated into any
+wider host circuit (:meth:`Circuit.extend`) and mirrored for uncomputation.
+The ``qubit_count=`` keyword only widens a block that is evaluated on its
+own; builders never pass a host's width to each other.
 
 Ancilla conventions (widths the caller must provide, all returned to zero
 unless noted):
@@ -72,9 +74,7 @@ def build_adder(
     extra = [carry_out] if carry_out is not None else []
     c = _blank(qubit_count, a, b, ancilla, *extra)
     seed = ancilla.qubit(0)
-    _maj(c, seed, b.qubit(0), a.qubit(0))
-    for i in range(1, a.width):
-        _maj(c, a.qubit(i - 1), b.qubit(i), a.qubit(i))
+    _maj_chain(c, seed, a, b)
     if carry_out is not None:
         c.cx(a.qubit(a.width - 1), carry_out)
     for i in range(a.width - 1, 0, -1):
@@ -110,14 +110,14 @@ def build_add_const(
         return c
     image = ancilla.slice(0, b.width)
     _load_const(c, image, k)
-    c.extend(build_adder(image, b, ancilla.slice(b.width, 1), qubit_count=c.qubit_count))
+    c.extend(build_adder(image, b, ancilla.slice(b.width, 1)))
     _load_const(c, image, k)
     return c
 
 
 def _carry_flag(c: Circuit, carry_reg: RegisterRef, other: RegisterRef, seed: int, flag: int) -> None:
     """flag ^= carry-out of ``carry_reg + other``; both registers restored."""
-    chain = Circuit(qubit_count=c.qubit_count)
+    chain = _blank(None, carry_reg, other, seed)
     _maj_chain(chain, seed, carry_reg, other)
     c.extend(chain)
     c.cx(carry_reg.qubit(carry_reg.width - 1), flag)
@@ -208,15 +208,8 @@ def build_leq_register(
     *,
     qubit_count: int | None = None,
 ) -> Circuit:
-    """``flag ^= (a <= b)`` via the negated carry of ``NOT(b) + a``."""
-    if a.width != b.width:
-        raise CircuitError("comparator operands must have equal widths")
-    c = _blank(qubit_count, a, b, seed, flag)
-    for qb in b.qubits():
-        c.x(qb)
-    _carry_flag(c, b, a, seed.qubit(0), flag)
-    for qb in b.qubits():
-        c.x(qb)
+    """``flag ^= (a <= b)``: the negation of ``b < a``."""
+    c = build_lt_register(b, a, flag, seed, qubit_count=qubit_count)
     c.x(flag)
     return c
 
@@ -239,7 +232,7 @@ def build_max_with_register(
     if t.width != value.width or spill.width != t.width:
         raise CircuitError("max operands and spill must share one width")
     c = _blank(qubit_count, t, value, spill, seed, choice)
-    c.extend(build_lt_register(t, value, choice, seed, qubit_count=c.qubit_count))
+    c.extend(build_lt_register(t, value, choice, seed))
     for j in range(t.width):
         c.ccx(choice, t.qubit(j), spill.qubit(j))
     for j in range(t.width):
@@ -274,8 +267,33 @@ def build_max_with_const(
     spill = ancilla.slice(w, w)
     seed = ancilla.slice(2 * w, 1)
     _load_const(c, image, k)
-    c.extend(build_max_with_register(t, image, choice, spill, seed, qubit_count=c.qubit_count))
+    c.extend(build_max_with_register(t, image, choice, spill, seed))
     _load_const(c, image, k)
+    return c
+
+
+def _encode_rows(
+    index: Sequence[int],
+    rows,
+    out: RegisterRef,
+    controls: Sequence[tuple[int, bool]],
+    qubit_count: int | None,
+    label: str,
+) -> Circuit:
+    """``out ^= value`` for each ``(code, value)`` row while the ``index``
+    qubits read ``code`` (bit j on ``index[j]``) and every extra control holds:
+    one MCX per set bit of the value. Zero values emit nothing."""
+    c = _blank(qubit_count, out, *index, *(q for q, _ in controls))
+    for code, entry in rows:
+        if entry == 0:
+            continue
+        if not 0 <= entry < (1 << out.width):
+            raise CircuitError(f"{label} value {entry} does not fit {out.width} bits")
+        pattern = [(q, bool((code >> j) & 1)) for j, q in enumerate(index)]
+        pattern.extend(controls)
+        for j in range(out.width):
+            if (entry >> j) & 1:
+                c.mcx(pattern, out.qubit(j))
     return c
 
 
@@ -295,19 +313,7 @@ def build_conditional_encoder(
     """
     if len(table) > (1 << idx.width):
         raise CircuitError("table longer than the index register can address")
-    extra = [q for q, _ in controls]
-    c = _blank(qubit_count, idx, out, *extra)
-    for v, entry in enumerate(table):
-        if entry == 0:
-            continue
-        if not 0 <= entry < (1 << out.width):
-            raise CircuitError(f"table value {entry} does not fit {out.width} bits")
-        pattern = [(idx.qubit(j), bool((v >> j) & 1)) for j in range(idx.width)]
-        pattern.extend(controls)
-        for j in range(out.width):
-            if (entry >> j) & 1:
-                c.mcx(pattern, out.qubit(j))
-    return c
+    return _encode_rows(idx.qubits(), enumerate(table), out, controls, qubit_count, "table")
 
 
 def build_pair_matrix_encoder(
@@ -325,22 +331,9 @@ def build_pair_matrix_encoder(
     Pairs with a repeated index are skipped: repeats are rejected elsewhere,
     so their encoded value never matters.
     """
-    extra = [q for q, _ in controls]
-    c = _blank(qubit_count, idx_a, idx_b, out, *extra)
-    for u in valid:
-        for v in valid:
-            if u == v or matrix[u][v] == 0:
-                continue
-            entry = matrix[u][v]
-            if not 0 <= entry < (1 << out.width):
-                raise CircuitError(f"matrix value {entry} does not fit {out.width} bits")
-            pattern = [(idx_a.qubit(j), bool((u >> j) & 1)) for j in range(idx_a.width)]
-            pattern += [(idx_b.qubit(j), bool((v >> j) & 1)) for j in range(idx_b.width)]
-            pattern.extend(controls)
-            for j in range(out.width):
-                if (entry >> j) & 1:
-                    c.mcx(pattern, out.qubit(j))
-    return c
+    # The index pattern of a pair is idx_a's bits of u, then idx_b's bits of v.
+    rows = ((u | v << idx_a.width, matrix[u][v]) for u in valid for v in valid if u != v)
+    return _encode_rows([*idx_a.qubits(), *idx_b.qubits()], rows, out, controls, qubit_count, "matrix")
 
 
 def build_pair_neq(

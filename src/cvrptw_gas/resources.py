@@ -38,18 +38,22 @@ def cost_upper_bound(inst: Instance) -> int:
     return 2 * inst.n * inst.max_distance
 
 
+def max_window_close(inst: Instance) -> int:
+    """Latest window close over the customers (the sentinel for defaulted
+    windows): the largest value the clock register must hold."""
+    return max(b for _, b in inst.windows[1:])
+
+
 def register_widths(inst: Instance) -> RegisterWidths:
     """Widths sized from the instance maxima.
 
-    The clock width comes from the largest window close (the sentinel for
-    defaulted windows), the load width from the capacity, and the cost width
-    from the 2n-leg bound.
+    The clock width comes from :func:`max_window_close`, the load width from
+    the capacity, and the cost width from the 2n-leg bound.
     """
-    t_max = max(b for _, b in inst.windows[1:])
     return RegisterWidths(
         b_node=bits_for(inst.n),
         w_cap=bits_for(inst.c_max),
-        w_time=bits_for(t_max),
+        w_time=bits_for(max_window_close(inst)),
         w_cost=bits_for(cost_upper_bound(inst)),
     )
 
@@ -110,8 +114,7 @@ def qubit_budget(n: int, d_max: int, t_max: int, w_max: int) -> QubitBudget:
 
 
 def instance_budget(inst: Instance) -> QubitBudget:
-    t_max = max(b for _, b in inst.windows[1:])
-    return qubit_budget(inst.n, inst.c_max, t_max, cost_upper_bound(inst))
+    return qubit_budget(inst.n, inst.c_max, max_window_close(inst), cost_upper_bound(inst))
 
 
 def figure_expression(n: int, d_max: int, t_max: int, w_max: int) -> float:

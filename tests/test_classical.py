@@ -6,7 +6,9 @@ import random
 import pytest
 
 from cvrptw_gas.classical import (
+    HELD_KARP_CUSTOMER_CAP,
     InfeasibleError,
+    _nearest_neighbor_tour,
     brute_force_optimum,
     build_auxiliary_graph,
     feasible_and_cost,
@@ -14,7 +16,7 @@ from cvrptw_gas.classical import (
     split_shortest_path,
     tour_cost,
 )
-from cvrptw_gas.instance import InstanceError
+from cvrptw_gas.instance import InstanceError, decode_assignment
 
 from support import make_instance, random_instance
 
@@ -232,6 +234,28 @@ def test_heuristic_never_beats_brute_force(example6):
         except InfeasibleError:
             continue
         assert cost >= opt
+
+
+def test_heuristic_past_held_karp_cap_splits_nearest_neighbor_tour():
+    """Beyond the Held-Karp cap the giant tour is the nearest-neighbour walk,
+    split optimally."""
+    n = 13
+    assert n > HELD_KARP_CUSTOMER_CAP
+    rng = random.Random(13)
+    inst = make_instance(
+        {
+            "n": n,
+            "c_max": 6,
+            "distance": [[0 if i == j else rng.randint(1, 20) for j in range(n + 1)] for i in range(n + 1)],
+            "demands": [rng.randint(1, 3) for _ in range(n)],
+        }
+    )
+    routes, cost = route_first_cluster_second(inst)
+    assert sorted(v for route in routes.routes for v in route) == list(range(1, n + 1))
+    tour = _nearest_neighbor_tour(inst)
+    y, split_cost = split_shortest_path(build_auxiliary_graph(inst, tour))
+    assert routes == decode_assignment(inst, tour, y)
+    assert cost == split_cost == tour_cost(inst, tour, y)
 
 
 def test_tour_cost_formula(example6):

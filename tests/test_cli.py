@@ -59,6 +59,23 @@ def test_solve_heuristic(capsys, example_path):
     assert json.loads(out)["cost"] >= 181
 
 
+def test_solve_heuristic_past_held_karp_cap(capsys, tmp_path):
+    """n = 13 takes the nearest-neighbour tour instead of Held-Karp."""
+    n = 13
+    doc = {
+        "n": n,
+        "c_max": 5,
+        "distance": [[0 if i == j else 1 + (3 * i + 5 * j) % 11 for j in range(n + 1)] for i in range(n + 1)],
+        "demands": [1 + i % 3 for i in range(n)],
+    }
+    path = tmp_path / "thirteen.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--method", "heuristic")
+    assert code == 0
+    routes = json.loads(out)["routes"]
+    assert sorted(v for route in routes for v in route) == list(range(1, n + 1))
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "does-not-exist.json")
     assert code == 2
@@ -98,6 +115,60 @@ def test_malformed_document_exit_code(capsys, tmp_path, field, value, message):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+BIG = 1 << 62
+
+
+@pytest.mark.parametrize(
+    "doc,what,optimum",
+    [
+        ({"distance": [[0, BIG, 1], [BIG, 0, 1], [1, 1, 0]]}, "cost bound", BIG + 2),
+        ({"distance": [[0, 10**30, 1], [10**30, 0, 1], [1, 1, 0]]}, "cost bound", 10**30 + 2),
+        ({"distance": [[0, 2, 1], [2, 0, 1], [1, 1, 0]], "windows": [[BIG, BIG + 5], [0, 1 << 63]]}, "clock", 4),
+    ],
+)
+def test_sweep_refuses_values_past_int64(capsys, tmp_path, doc, what, optimum):
+    """An int64 sweep would wrap (a negative GAS cost, false verify mismatches)
+    or raise OverflowError; both commands refuse the instance instead, and
+    brute force, on Python ints, still answers."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "c_max": 3, "demands": [1, 1], **doc}))
+    for argv in (["solve", "--method", "gas", "--seed", "0"], ["verify-oracle", "--k", "5"]):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2, argv
+        assert out == ""
+        assert f"sweep's {what} can reach" in err and "64-bit limit" in err
+        assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, "solve", str(path), "--method", "brute")
+    assert code == 0
+    assert json.loads(out)["cost"] == optimum
+
+
+def test_sweep_keeps_large_values_that_fit(capsys, tmp_path):
+    """Distances of 2^60 put the cost bound at 2^62: no refusal, and GAS
+    agrees with brute force to the unit."""
+    d = 1 << 60
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"n": 2, "c_max": 3, "distance": [[0, d, 1], [d, 0, 1], [1, 1, 0]], "demands": [1, 1]}))
+    _, brute, _ = run_cli(capsys, "solve", str(path), "--method", "brute")
+    code, gas, _ = run_cli(capsys, "solve", str(path), "--method", "gas", "--seed", "0")
+    assert code == 0
+    assert json.loads(gas)["cost"] == json.loads(brute)["cost"] == d + 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "gas", "--seed", "-1"],
+        ["verify-oracle", "--k", "19", "--mode", "sample", "--samples", "10", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_names_the_option(capsys, small_path, argv):
+    code, out, err = run_cli(capsys, argv[0], small_path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "--seed must be nonnegative, got -1" in err
 
 
 def test_budget_exit_code(capsys, example_path):
@@ -220,6 +291,7 @@ def test_resources_instance(capsys, example_path):
     assert doc["widths"] == {"node": 3, "load": 3, "clock": 9, "cost": 10}
     assert doc["budget"]["total"] == 223
     assert doc["quoted_six_customer_qubits"] == 147
+    assert hashlib.sha256(out.encode()).hexdigest() == "bca95f8d5b4b90261fd9ddd35937258c3b68439ddaae869833926ac31c3da9a0"
 
 
 def test_resources_csv(capsys):

@@ -2,6 +2,7 @@
 oracle/predicate equivalence, and uncompute cleanliness."""
 
 import gc
+import hashlib
 import random
 from dataclasses import replace
 
@@ -307,6 +308,22 @@ def test_example_oracle_structure(example6):
     assert len(built.gates) == 2 * sum(chains) + 1 == 4937
     assert built.qubit_count == layout.qubit_count == 223
     assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 18401
+
+
+@pytest.mark.parametrize(
+    "name,k,gates,digest",
+    [
+        ("example6", 182, 4937, "b50f58a89d99d53a3d08afa10c367d90cae755a544c21a71090846e6301513fd"),
+        ("mixed4", 35, 3103, "646eb43b856923fa7dd7c889390db08bcbf469adf005251f3608ce172cdb6dbe"),
+    ],
+)
+def test_oracle_dump_pinned(name, k, gates, digest, request):
+    """The full gate lists, byte for byte: the paper's example, whose time
+    chain is flags only, and a fixture whose windows bind, so the clock chain
+    runs. A refactor of the block builders must not move either digest."""
+    built = build_oracle(request.getfixturevalue(name), k)
+    assert len(built.gates) == gates
+    assert hashlib.sha256(built.dump().encode()).hexdigest() == digest
 
 
 def test_mark_predicate_example_values(example6):

@@ -106,8 +106,9 @@ def test_gate_budget_monotone_in_n():
 
 def test_measured_mcx_within_fitted_envelope():
     """Oracle MCX counts for n = 3..5 stay within a fitted constant of the
-    envelope. The measured ratio is 2.8-3.1, rising slowly with n; the
-    bound of 8 dates from a larger oracle (ratio about 7) and is kept."""
+    envelope. The measured ratio is 2.76, 2.93 and 3.10 for n = 3, 4, 5, so
+    the bound of 3.5 leaves about 13% for growth with n and catches a
+    regression of that size."""
     from cvrptw_gas.circuit import count_resources
     from cvrptw_gas.oracle import build_oracle
 
@@ -126,7 +127,7 @@ def test_measured_mcx_within_fitted_envelope():
         measured = count_resources(build_oracle(inst, 20)).mcx_total
         gb = gate_budget(n, inst.c_max)
         envelope = gb.all_different + gb.capacity + gb.time + gb.cost
-        assert measured <= 8.0 * envelope, (n, measured, envelope)
+        assert measured <= 3.5 * envelope, (n, measured, envelope)
         assert measured >= envelope  # the envelope drops constant factors
 
 
