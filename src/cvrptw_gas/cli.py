@@ -77,12 +77,16 @@ def _cmd_solve(args) -> int:
 def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
     """``samples`` seeded assignment indices: the first half uniform over the
     whole decision space, the rest well-formed candidates (a customer
-    permutation and interior split bits, final bit set)."""
+    permutation and interior split bits, final bit set). Indices are int64,
+    so a decision space past 63 bits is refused."""
     n = inst.n
     b_node = resources.register_widths(inst).b_node
+    bits = grover.search_space(inst).decision_bits
+    if bits > 63:
+        raise ValueError(f"{bits} decision bits exceed the 63-bit limit of int64 sample indices")
     rng = np.random.default_rng(seed)
     formed = samples // 2
-    uniform = rng.integers(0, 1 << (n * b_node + n), size=samples - formed, dtype=np.int64)
+    uniform = rng.integers(0, 1 << bits, size=samples - formed, dtype=np.int64)
     tours = np.argsort(rng.random((formed, n)), axis=1) + 1
     splits = rng.integers(0, 2, size=(formed, n - 1))
     packed = [pack_assignment(n, b_node, P, (*y, 1)) for P, y in zip(tours.tolist(), splits.tolist())]

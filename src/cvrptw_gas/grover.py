@@ -6,7 +6,7 @@ exactly, the success probability after m rounds is sin^2((2m+1) asin(sqrt(M/N)))
 and an ideal measurement lands uniformly on the marked set. The full oracle
 needs far more qubits than a dense statevector can hold even for toy
 instances, so the statevector path exists only to validate that closed form
-on small synthetic oracles.
+on small synthetic oracles, whose marking circuit also reads out the result.
 
 Marked counts come from a classical sweep of the decision space. Malformed
 codes (a repeated or out-of-range customer, a clear final split bit) are never
@@ -16,8 +16,10 @@ vectorized over blocks of tours and cached per instance as a (feasible index,
 cost) table sorted by index; every threshold count and every uniform
 marked-state draw derives from that one table. A candidate cap of
 :data:`CANDIDATE_CAP` admits n <= 8 (5,160,960 candidates) and refuses n = 9
-before anything is allocated. The scalar
-:func:`cvrptw_gas.oracle.mark_predicate` and
+before anything is allocated. The same block loop runs the distinct tours of
+any set of assignment indices for :func:`reference_marks`, the vectorized
+twin that :func:`cvrptw_gas.oracle.equivalence_scan` checks the circuit
+against. The scalar :func:`cvrptw_gas.oracle.mark_predicate` and
 :func:`cvrptw_gas.classical.feasible_and_cost` stay the ground truths the
 sweep is tested against.
 """
@@ -31,15 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    check_statevector_size,
-    column_bits,
-    enumeration_columns,
-    eval_basis_batch,
-    eval_statevector,
-    phase_kickback,
-)
+from .circuit import Circuit, check_statevector_size, eval_statevector, phase_kickback
 from .classical import InfeasibleError, feasible_and_cost
 from .instance import Instance, RouteSet, decode_assignment, unpack_assignment
 from .resources import cost_upper_bound, max_window_close, register_widths
@@ -122,7 +116,6 @@ def _feasible_block(inst: Instance, tours: np.ndarray) -> tuple[np.ndarray, np.n
     at each position, once y[i - 1] is known: its lower half continues the
     route (y[i - 1] = 0), its upper half returns through the depot first.
     """
-    _check_sweep_range(inst)
     n = inst.n
     q = np.asarray(inst.q, dtype=np.int64)
     D = np.asarray(inst.D, dtype=np.int64)
@@ -173,6 +166,16 @@ class FeasibleTable:
         return int(marked[pick]), int(costs[pick])
 
 
+def _sweep_blocks(inst: Instance, tours: np.ndarray):
+    """``(start, ok, cost)`` for consecutive blocks of ``tours`` (one tour per
+    row) of at most :data:`_BLOCK_ROWS` (tour, split) cells each; ``ok`` and
+    ``cost`` are :func:`_feasible_block` of ``tours[start : start + len(ok)]``."""
+    _check_sweep_range(inst)
+    per_block = max(1, _BLOCK_ROWS >> (inst.n - 1))
+    for start in range(0, len(tours), per_block):
+        yield (start, *_feasible_block(inst, tours[start : start + per_block]))
+
+
 @lru_cache(maxsize=8)
 def feasible_table(inst: Instance) -> FeasibleTable:
     n = inst.n
@@ -180,17 +183,14 @@ def feasible_table(inst: Instance) -> FeasibleTable:
     if candidates > CANDIDATE_CAP:
         raise ValueError(f"{candidates} well-formed candidates (n={n}) exceed the candidate cap of {CANDIDATE_CAP}")
     b_node = register_widths(inst).b_node
-    shifts = b_node * np.arange(n, dtype=np.int64)
+    tours = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    tour_keys = np.bitwise_or.reduce(tours << (b_node * np.arange(n, dtype=np.int64)), axis=1)
     splits = (np.arange(1 << (n - 1), dtype=np.int64) | (1 << (n - 1))) << (n * b_node)
-    per_block = max(1, _BLOCK_ROWS >> (n - 1))
-    tours = itertools.permutations(range(1, n + 1))
     kept_idx = []
     kept_cost = []
-    while chunk := list(itertools.islice(tours, per_block)):
-        block = np.array(chunk, dtype=np.int64)
-        ok, cost = _feasible_block(inst, block)
+    for start, ok, cost in _sweep_blocks(inst, tours):
         rows, cols = np.nonzero(ok)
-        kept_idx.append(np.bitwise_or.reduce(block << shifts, axis=1)[rows] | splits[cols])
+        kept_idx.append(tour_keys[start + rows] | splits[cols])
         kept_cost.append(cost[rows, cols])
     indices, costs = np.concatenate(kept_idx), np.concatenate(kept_cost)
     del kept_idx, kept_cost  # an n = 8 table can keep 5 M rows; sort without the block copies
@@ -200,6 +200,38 @@ def feasible_table(inst: Instance) -> FeasibleTable:
         indices=indices[order],
         costs=costs[order],
     )
+
+
+def reference_marks(inst: Instance, k, indices) -> np.ndarray:
+    """Vectorized twin of :func:`cvrptw_gas.oracle.mark_predicate` over
+    assignment indices.
+
+    An index is well-formed when its tour codes are a permutation of the
+    customers and its final split bit is set; malformed ones are unmarked.
+    The distinct well-formed tours run through the sweep's recurrences, and
+    an index is marked when its split column is feasible and costs less than
+    ``k``.
+    """
+    n = inst.n
+    b_node = register_widths(inst).b_node
+    code_mask = (1 << b_node) - 1
+    tour_bits = n * b_node
+    shifts = b_node * np.arange(n, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    # n codes cover exactly the customers 1..n when their one-hot bits do.
+    seen = np.zeros_like(indices)
+    for shift in shifts.tolist():
+        seen |= 1 << ((indices >> shift) & code_mask)
+    formed = (seen == (1 << (n + 1)) - 2) & ((indices >> (tour_bits + n - 1)) & 1 == 1)
+    rows = np.flatnonzero(formed)
+    tour_keys, tour_of = np.unique(indices[rows] & ((1 << tour_bits) - 1), return_inverse=True)
+    split_col = (indices[rows] >> tour_bits) & ((1 << (n - 1)) - 1)
+    marks = np.zeros(len(indices), dtype=bool)
+    for start, ok, cost in _sweep_blocks(inst, (tour_keys[:, None] >> shifts) & code_mask):
+        sel = (tour_of >= start) & (tour_of < start + len(ok))
+        r, c = tour_of[sel] - start, split_col[sel]
+        marks[rows[sel]] = ok[r, c] & (cost[r, c] < k)
+    return marks
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +252,6 @@ class ThresholdRecord:
     oracle_calls: int
 
 
-@dataclass(frozen=True)
-class QSearchOutcome:
-    assignment_index: int | None
-    cost: int | None
-    record: ThresholdRecord
-    certified_empty: bool
-    budget_exhausted: bool
-
-
 def qsearch(
     inst: Instance,
     k: int,
@@ -236,19 +259,23 @@ def qsearch(
     rng: np.random.Generator,
     *,
     calls_before: int = 0,
-) -> QSearchOutcome:
-    """One exponential-search pass at a fixed threshold.
+) -> tuple[ThresholdRecord, tuple[int, int] | None]:
+    """One exponential-search pass at a fixed threshold: the record of its
+    trials and the ``(assignment index, cost)`` it measured, or None when
+    nothing costs less than ``k``.
 
     Each trial draws a round count m below the current bound, succeeds with
     the exact closed-form probability, and costs m oracle calls. On success
     the measurement is a uniform marked assignment. An empty marked set is
-    certified immediately from the exact count.
+    certified immediately from the exact count. Raises
+    :class:`BudgetExhaustedError` once ``calls_before`` plus this pass's
+    calls reach ``cfg.max_oracle_calls`` without a success.
     """
     table = feasible_table(inst)
     N = table.N
     M = table.count(k)
     if M == 0:
-        return QSearchOutcome(None, None, ThresholdRecord(k, 0, (), 0), True, False)
+        return ThresholdRecord(k, 0, (), 0), None
     sqrt_n = math.sqrt(N)
     bound = 1.0
     trials: list[Trial] = []
@@ -259,11 +286,10 @@ def qsearch(
         hit = bool(rng.random() < success_probability(N, M, m))
         trials.append(Trial(m, hit))
         if hit:
-            index, cost = table.sample(k, rng)
-            return QSearchOutcome(index, cost, ThresholdRecord(k, M, tuple(trials), calls), False, False)
+            return ThresholdRecord(k, M, tuple(trials), calls), table.sample(k, rng)
         bound = min(GROWTH_FACTOR * bound, sqrt_n)
         if cfg.max_oracle_calls is not None and calls_before + calls >= cfg.max_oracle_calls:
-            return QSearchOutcome(None, None, ThresholdRecord(k, M, tuple(trials), calls), False, True)
+            raise BudgetExhaustedError(f"oracle-call budget {cfg.max_oracle_calls} exhausted at threshold {k}")
 
 
 @dataclass(frozen=True)
@@ -330,25 +356,21 @@ def gas_minimize(inst: Instance, cfg: GasConfig) -> GasResult:
     k = cfg.initial_k if cfg.initial_k is not None else _initial_threshold(inst)
     records: list[ThresholdRecord] = []
     best_index: int | None = None
-    best_cost: int | None = None
     calls = 0
     while True:
-        outcome = qsearch(inst, k, cfg, rng, calls_before=calls)
-        records.append(outcome.record)
-        calls += outcome.record.oracle_calls
-        if outcome.certified_empty:
+        record, found = qsearch(inst, k, cfg, rng, calls_before=calls)
+        records.append(record)
+        calls += record.oracle_calls
+        if found is None:
             break
-        if outcome.budget_exhausted:
-            raise BudgetExhaustedError(f"oracle-call budget {cfg.max_oracle_calls} exhausted at threshold {k}")
-        best_index, best_cost = outcome.assignment_index, outcome.cost
-        k = outcome.cost
+        best_index, k = found
     if best_index is None:
         if cfg.initial_k is not None:
             raise InfeasibleError(f"no feasible solution costs less than the initial threshold {cfg.initial_k}")
         raise InfeasibleError("no feasible solution exists")
     P, y = unpack_assignment(inst.n, register_widths(inst).b_node, best_index)
     routes = decode_assignment(inst, P, y)
-    return GasResult(P, y, best_cost, routes, SearchTrace(cfg.rng_seed, tuple(records)))
+    return GasResult(P, y, k, routes, SearchTrace(cfg.rng_seed, tuple(records)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +393,16 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
     """Measured probability of the marked decision patterns after m rounds.
 
     ``oracle`` must be a marking circuit (permutation gates only) with a
-    one-qubit ``marked`` register; ``decision_registers`` names the registers
-    spanning the search space. The uniform superposition is prepared over
-    those qubits, each round applies the phase oracle then inversion about
-    the mean, and the returned value is the total probability mass whose
-    decision projection is marked. Every gate is simulated on a real state
-    (all its gates have real matrices). An oracle over more than
+    one-qubit ``marked`` register that returns every other non-decision qubit
+    to zero; ``decision_registers`` names the registers spanning the search
+    space. The uniform superposition is prepared over those qubits and each
+    round applies the phase oracle then inversion about the mean, so the
+    rounds leave the work qubits and ``marked`` at zero. The readout applies
+    the marking circuit once more and returns the probability that
+    ``marked`` reads 1. Every gate is simulated on a real state (all its
+    gates have real matrices). An oracle over more than
     :data:`~cvrptw_gas.circuit.STATEVECTOR_QUBIT_CAP` qubits is refused before
-    anything is enumerated or allocated.
+    anything is allocated.
     """
     nq = oracle.qubit_count
     check_statevector_size(nq)
@@ -387,12 +411,6 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
         decision_qubits.extend(oracle.registers[name].qubits())
     out = oracle.registers["marked"].qubit(0)
     bits = len(decision_qubits)
-
-    # Marked set from the oracle itself, all work qubits zero.
-    cols = [0] * nq
-    for q, col in zip(decision_qubits, enumeration_columns(bits)):
-        cols[q] = col
-    marked_patterns = column_bits(eval_basis_batch(oracle, cols, 1 << bits)[out], 1 << bits)
 
     phase = phase_kickback(oracle)
     g = Circuit(nq, dict(oracle.registers))
@@ -418,16 +436,10 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
             g.x(q)
         for q in decision_qubits:
             g.h(q)
+    g.extend(oracle)
 
     start = np.zeros(1 << nq)
     start[0] = 1.0
-    weight = eval_statevector(g, start)
-    weight *= weight  # the state is real, so its square is |amplitude|^2
-    # Sum out the work qubits (qubit q is axis nq-1-q), which leaves the
-    # decision qubits in descending order; reorder them so that the flat index
-    # of a cell is its decision pattern, bit j being decision_qubits[j].
-    desc = sorted(decision_qubits, reverse=True)
-    work = tuple(nq - 1 - q for q in range(nq) if q not in desc)
-    mass = weight.reshape((2,) * nq).sum(axis=work)
-    mass = mass.transpose([desc.index(q) for q in reversed(decision_qubits)]).reshape(-1)
-    return float(mass[marked_patterns].sum())
+    state = eval_statevector(g, start).reshape((2,) * nq)
+    marked = state[(slice(None),) * (nq - 1 - out) + (1,)]  # qubit q is axis nq - 1 - q
+    return float(np.sum(np.square(marked, out=marked)))  # the state is real: |amplitude|^2 is its square

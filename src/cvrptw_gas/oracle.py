@@ -35,10 +35,9 @@ input unchanged, and the layout with it:
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
 references. ``equivalence_scan`` checks the circuit against
-``reference_marks``, a vectorized twin that runs the feasible-table sweep's
-recurrences (``grover._feasible_block``) on the well-formed assignments of
-each chunk of states; that reference is itself tested index by index against
-``mark_predicate``.
+:func:`cvrptw_gas.grover.reference_marks`, which runs the feasible-table
+sweep on the well-formed assignments of each chunk of states; that reference
+is itself tested index by index against ``mark_predicate``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .circuit import (
     inverse,
     phase_kickback,
 )
-from .grover import _BLOCK_ROWS, _feasible_block
+from .grover import reference_marks, search_space
 from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
 from .qarith import (
     build_adder,
@@ -113,10 +112,6 @@ class OracleLayout:
     marked: int
     pool: RegisterRef
     registers: dict[str, RegisterRef]
-
-    @property
-    def decision_bits(self) -> int:
-        return self.inst.n * self.widths.b_node + self.inst.n
 
     def empty_circuit(self) -> Circuit:
         return Circuit(self.qubit_count, dict(self.registers))
@@ -480,40 +475,6 @@ def mark_predicate(inst: Instance, k, P, y) -> MarkResult:
     return MarkResult(True, total, None)
 
 
-def reference_marks(inst: Instance, k, indices) -> np.ndarray:
-    """Vectorized twin of :func:`mark_predicate` over assignment indices.
-
-    An index is well-formed when its tour codes are a permutation of the
-    customers and its final split bit is set; malformed ones are unmarked.
-    The distinct well-formed tours run through the sweep's recurrences in
-    blocks of at most ``_BLOCK_ROWS`` (tour, split) cells, and an index is
-    marked when its split column is feasible and costs less than ``k``.
-    """
-    n = inst.n
-    b_node = register_widths(inst).b_node
-    code_mask = (1 << b_node) - 1
-    tour_bits = n * b_node
-    shifts = b_node * np.arange(n, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    # n codes cover exactly the customers 1..n when their one-hot bits do.
-    seen = np.zeros_like(indices)
-    for shift in shifts.tolist():
-        seen |= 1 << ((indices >> shift) & code_mask)
-    formed = (seen == (1 << (n + 1)) - 2) & ((indices >> (tour_bits + n - 1)) & 1 == 1)
-    rows = np.flatnonzero(formed)
-    tour_keys, tour_of = np.unique(indices[rows] & ((1 << tour_bits) - 1), return_inverse=True)
-    split_col = (indices[rows] >> tour_bits) & ((1 << (n - 1)) - 1)
-    marks = np.zeros(len(indices), dtype=bool)
-    per_block = max(1, _BLOCK_ROWS >> (n - 1))
-    for start in range(0, len(tour_keys), per_block):
-        tours = (tour_keys[start : start + per_block, None] >> shifts) & code_mask
-        ok, cost = _feasible_block(inst, tours)
-        sel = (tour_of >= start) & (tour_of < start + per_block)
-        r, c = tour_of[sel] - start, split_col[sel]
-        marks[rows[sel]] = ok[r, c] & (cost[r, c] < k)
-    return marks
-
-
 # ---------------------------------------------------------------------------
 # Circuit-vs-reference verification
 
@@ -551,7 +512,7 @@ def _scan_chunks(bits: int, indices):
 
 def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
     """Run the oracle over basis states and compare its marks with
-    :func:`reference_marks`.
+    :func:`~cvrptw_gas.grover.reference_marks`.
 
     ``indices`` selects the assignments to check; None means all of them,
     refused above :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits before the
@@ -574,24 +535,24 @@ def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
 
 
 def _scan(inst: Instance, k: int, indices) -> ScanReport:
-    layout = build_layout(inst, k)
-    bits = layout.decision_bits
+    bits = search_space(inst).decision_bits
     if indices is None:
         if bits > EXHAUSTIVE_SCAN_CAP_BITS:
             raise ValueError(f"{bits} decision bits exceed the exhaustive cap of {EXHAUSTIVE_SCAN_CAP_BITS}")
     else:
         indices = np.asarray(list(indices), dtype=np.int64)
     circuit = build_oracle(inst, k)
+    marked = circuit.registers["marked"].qubit(0)
     checked = mismatches = dirty_states = changed_states = 0
     for chunk, decision_cols in _scan_chunks(bits, indices):
         count = len(chunk)
-        columns = decision_cols + [0] * (layout.qubit_count - bits)
+        columns = decision_cols + [0] * (circuit.qubit_count - bits)
         out_cols = eval_basis_batch(circuit, columns, count)
-        circuit_marks = column_bits(out_cols[layout.marked], count)
+        circuit_marks = column_bits(out_cols[marked], count)
         mismatches += int((circuit_marks != reference_marks(inst, k, chunk)).sum())
         dirty = 0
-        for qb in range(bits, layout.qubit_count):
-            if qb != layout.marked:
+        for qb in range(bits, circuit.qubit_count):
+            if qb != marked:
                 dirty |= out_cols[qb]
         changed = 0
         for qb in range(bits):

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from cvrptw_gas.grover import search_space
 from cvrptw_gas.instance import parse_instance, unpack_assignment
 from cvrptw_gas.oracle import mark_predicate
 from cvrptw_gas.resources import register_widths
@@ -24,7 +25,7 @@ def predicate_marks(inst, k) -> np.ndarray:
     """``mark_predicate`` at threshold ``k`` on every assignment index, in
     index order; cached because several tests scan the same fixtures."""
     n, b_node = inst.n, register_widths(inst).b_node
-    bits = n * b_node + n
+    bits = search_space(inst).decision_bits
     return np.array([mark_predicate(inst, k, *unpack_assignment(n, b_node, s)).marked for s in range(1 << bits)])
 
 

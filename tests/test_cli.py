@@ -176,6 +176,15 @@ def test_budget_exit_code(capsys, example_path):
     assert code == 4
 
 
+def test_budget_exhausted_past_the_first_thresholds(capsys, example_path):
+    """Seed 1 finds costs below 273 and 262 first; the 300-call budget runs out
+    at the third threshold, so the calls carried across thresholds count."""
+    code, out, err = run_cli(capsys, "solve", example_path, "--seed", "1", "--budget", "300")
+    assert code == 4
+    assert out == ""
+    assert err == "budget: oracle-call budget 300 exhausted at threshold 240\n"
+
+
 def test_solve_rejects_negative_budget(capsys, example_path):
     code, out, err = run_cli(capsys, "solve", example_path, "--seed", "1", "--budget", "-1")
     assert code == 2
@@ -261,6 +270,28 @@ def test_verify_oracle_sample_mode_n9(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-oracle", str(path), "--k", "30", "--mode", "sample", "--samples", "400")
     assert code == 0
     assert json.loads(out) == {"assignments_checked": 400, "mismatches": 0, "dirty_ancillas": 0, "decision_changed": 0}
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_verify_oracle_sample_mode_int64_limit(capsys, tmp_path, n):
+    """Sampled indices are int64: n = 12 (60 decision bits) scans clean, and
+    n = 13 (65 bits) is refused with the bit count and the 63-bit limit."""
+    doc = {
+        "n": n,
+        "c_max": 4,
+        "distance": [[0 if i == j else 1 + (i * j) % 5 for j in range(n + 1)] for i in range(n + 1)],
+        "demands": [1 + i % 2 for i in range(n)],
+    }
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify-oracle", str(path), "--k", "50", "--mode", "sample", "--samples", "200")
+    if n == 12:
+        assert code == 0
+        assert json.loads(out) == {"assignments_checked": 200, "mismatches": 0, "dirty_ancillas": 0, "decision_changed": 0}
+    else:
+        assert code == 2
+        assert out == ""
+        assert err == "error: 65 decision bits exceed the 63-bit limit of int64 sample indices\n"
 
 
 def test_verify_oracle_refuses_large_exhaustive(capsys, tmp_path):

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from cvrptw_gas import grover
 from cvrptw_gas.circuit import Circuit, CircuitError
 from cvrptw_gas.classical import InfeasibleError, brute_force_optimum, feasible_and_cost, tour_cost
-from cvrptw_gas.cli import main
+from cvrptw_gas.cli import main, sample_indices
 from cvrptw_gas.grover import (
     CANDIDATE_CAP,
     BudgetExhaustedError,
@@ -23,6 +24,7 @@ from cvrptw_gas.grover import (
     feasible_table,
     gas_minimize,
     qsearch,
+    reference_marks,
     search_space,
     statevector_grover,
     success_probability,
@@ -31,7 +33,7 @@ from cvrptw_gas.grover import (
 from cvrptw_gas.oracle import mark_predicate, pack_assignment, unpack_assignment
 from cvrptw_gas.resources import register_widths
 
-from support import make_instance, predicate_marks
+from support import binding_instance, make_instance, predicate_marks
 
 
 def test_count_marked_zero_threshold(vacuous3):
@@ -56,6 +58,30 @@ def test_count_marked_agrees_with_predicate_scan(cap_bound3, window_bound3, mixe
             direct = np.flatnonzero(predicate_marks(inst, k))
             np.testing.assert_array_equal(table.indices[table.costs < k], direct)
             assert table.count(k) == len(direct)
+
+
+@pytest.mark.parametrize("block_rows", [1, 32, 128])
+def test_sweep_block_size_changes_nothing(monkeypatch, block_rows):
+    """The feasible table and the reference marks of a six-customer binding
+    instance are the same whatever the sweep's block size: 1 and 32 cells
+    take one tour per block, 128 cells four."""
+    inst = binding_instance(random.Random(6), 6)
+    indices = np.concatenate([sample_indices(inst, 20_000, 6), np.arange(1 << 16, dtype=np.int64)])
+    feasible_table.cache_clear()
+    table = feasible_table(inst)
+    ks = (0, int(table.costs.min()) + 1, 10**6)
+    marks = [reference_marks(inst, k, indices) for k in ks]
+    assert marks[1].any() and marks[2].sum() > marks[1].sum()
+    monkeypatch.setattr(grover, "_BLOCK_ROWS", block_rows)
+    feasible_table.cache_clear()
+    try:
+        small = feasible_table(inst)
+        np.testing.assert_array_equal(small.indices, table.indices)
+        np.testing.assert_array_equal(small.costs, table.costs)
+        for k, want in zip(ks, marks):
+            np.testing.assert_array_equal(reference_marks(inst, k, indices), want, err_msg=f"k={k}")
+    finally:
+        feasible_table.cache_clear()
 
 
 def slack7():
@@ -155,9 +181,9 @@ def test_success_probability_closed_form():
 
 def test_qsearch_certifies_empty(vacuous3):
     cfg = GasConfig(rng_seed=0)
-    out = qsearch(vacuous3, 0, cfg, np.random.default_rng(0))
-    assert out.certified_empty
-    assert out.record.M == 0 and out.record.trials == ()
+    record, found = qsearch(vacuous3, 0, cfg, np.random.default_rng(0))
+    assert found is None
+    assert record.M == 0 and record.trials == ()
 
 
 def test_qsearch_all_marked_first_trial(vacuous3):
@@ -166,10 +192,9 @@ def test_qsearch_all_marked_first_trial(vacuous3):
     table = feasible_table(inst)
     k = int(table.costs.max()) + 1
     cfg = GasConfig(rng_seed=3)
-    out = qsearch(inst, k, cfg, np.random.default_rng(3))
-    assert out.assignment_index is not None
+    _, (index, _) = qsearch(inst, k, cfg, np.random.default_rng(3))
     # success probability at any m is M/N-based; sampled state must be marked
-    assert mark_predicate(inst, k, *unpack_assignment(inst.n, 2, out.assignment_index)).marked
+    assert mark_predicate(inst, k, *unpack_assignment(inst.n, 2, index)).marked
 
 
 def test_qsearch_deterministic_replay(example6):
@@ -178,15 +203,16 @@ def test_qsearch_deterministic_replay(example6):
     b = qsearch(example6, 553, cfg, np.random.default_rng(42))
     assert a == b
     # golden trace, frozen from a seeded run of this module
-    assert a.record.M == 6624
-    assert a.cost == 257
-    assert a.record.oracle_calls == 67
+    record, (_, cost) = a
+    assert record.M == 6624
+    assert cost == 257
+    assert record.oracle_calls == 67
 
 
 def test_qsearch_budget_exhaustion(cap_bound3):
     cfg = GasConfig(rng_seed=9, max_oracle_calls=0)
-    out = qsearch(cap_bound3, 19, cfg, np.random.default_rng(9))
-    assert out.budget_exhausted or out.assignment_index is not None
+    with pytest.raises(BudgetExhaustedError, match="budget 0 exhausted at threshold 19"):
+        qsearch(cap_bound3, 19, cfg, np.random.default_rng(9))
 
 
 def test_gas_single_customer():
@@ -283,11 +309,31 @@ def test_statevector_decision_registers_in_any_order():
         assert got == pytest.approx(success_probability(16, 1, m), abs=1e-12)
 
 
+def test_statevector_with_work_qubits_matches_closed_form():
+    # d0 AND NOT d1 AND d3 is computed through two work qubits, copied to the
+    # marked qubit and uncomputed: 2 of 16 patterns marked (d2 is free).
+    c = Circuit()
+    d = c.add_register("decision", 4)
+    work = c.add_register("work", 2)
+    marked = c.add_register("marked", 1)
+    compute = [((d.qubit(0), True), (d.qubit(1), False), work.qubit(0)), (work.qubit(0), d.qubit(3), work.qubit(1))]
+    for c1, c2, t in compute:
+        c.ccx(c1, c2, t)
+    c.cx(work.qubit(1), marked.qubit(0))
+    for c1, c2, t in reversed(compute):
+        c.ccx(c1, c2, t)
+    expected = [0.125, 0.78125, 0.9453125, 0.330078125]
+    for m, want in enumerate(expected):
+        got = statevector_grover(c, ["decision"], m)
+        assert got == pytest.approx(success_probability(16, 2, m), abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_statevector_refuses_over_cap_before_enumerating(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated the columns of an oversized oracle")
+        raise AssertionError("built the rounds of an oversized oracle")
 
-    monkeypatch.setattr(grover, "enumeration_columns", refuse)
+    monkeypatch.setattr(grover, "phase_kickback", refuse)
     oracle = synthetic_marking_oracle(26, [0])
     assert oracle.qubit_count == 27
     with pytest.raises(CircuitError, match="capped at 26 qubits, circuit has 27"):

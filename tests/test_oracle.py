@@ -19,7 +19,7 @@ from cvrptw_gas.circuit import (
     eval_basis_int,
     register_values,
 )
-from cvrptw_gas.grover import feasible_table
+from cvrptw_gas.grover import feasible_table, reference_marks, search_space
 from cvrptw_gas.oracle import (
     LayoutError,
     build_capacity_chain,
@@ -32,7 +32,6 @@ from cvrptw_gas.oracle import (
     equivalence_scan,
     mark_predicate,
     pack_assignment,
-    reference_marks,
     unpack_assignment,
 )
 from cvrptw_gas.qarith import build_adder
@@ -67,7 +66,7 @@ def test_layout_sizes_example(example6):
     layout = build_layout(example6, 272)
     assert layout.widths.b_node == 3
     assert sum(r.width for r in layout.tour) == 18
-    assert layout.decision_bits == 24
+    assert search_space(example6).decision_bits == 24
 
 
 def test_layout_capacity_width():
@@ -143,7 +142,7 @@ def test_capacity_chain_matches_recurrence_exhaustively(cap_bound3):
     block = build_capacity_chain(layout)
     host = layout.empty_circuit()
     host.extend(block)
-    bits = layout.decision_bits
+    bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     cols = enumeration_columns(bits) + [0] * (layout.qubit_count - bits)
     out = eval_basis_batch(host, cols, count)
@@ -199,7 +198,7 @@ def test_time_chain_vacuous_windows_always_pass(vacuous3):
     block = build_time_chain(layout)
     host = layout.empty_circuit()
     host.extend(block)
-    bits = layout.decision_bits
+    bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
     ok = register_values(out, layout.time_ok, count)
@@ -224,7 +223,7 @@ def test_time_chain_matches_recurrence_exhaustively(window_bound3):
     block = build_time_chain(layout)
     host = layout.empty_circuit()
     host.extend(block)
-    bits = layout.decision_bits
+    bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
     w = layout.widths.w_time
@@ -265,7 +264,7 @@ def test_cost_threshold_zero_marks_nothing(vacuous3):
     block = build_cost_accumulator(layout)
     host = layout.empty_circuit()
     host.extend(block)
-    bits = layout.decision_bits
+    bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
     from cvrptw_gas.circuit import column_bits
@@ -281,7 +280,7 @@ def test_exit_leg_encoder_writes_one_table(mixed4):
     out_ref = layout.pool_value(layout.widths.w_cost)
     host = layout.empty_circuit()
     host.extend(build_exit_leg_encoder(layout, 2, out_ref))
-    bits = layout.decision_bits
+    bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
     pool = register_values(out, out_ref, count)
@@ -376,7 +375,8 @@ def test_oracle_preserves_decisions_and_cleans_work(mixed4):
     rng = random.Random(123)
     layout = build_layout(mixed4, 30)
     circuit = build_oracle(mixed4, 30)
-    indices = np.array([rng.getrandbits(layout.decision_bits) for _ in range(1000)], dtype=np.int64)
+    bits = search_space(mixed4).decision_bits
+    indices = np.array([rng.getrandbits(bits) for _ in range(1000)], dtype=np.int64)
     report = equivalence_scan(mixed4, 30, indices=indices)
     assert report.mismatches == 0
     assert report.dirty_ancillas == 0
@@ -384,9 +384,9 @@ def test_oracle_preserves_decisions_and_cleans_work(mixed4):
     # single-state spot check through the plain evaluator
     state = pack_assignment(mixed4.n, layout.widths.b_node, (1, 2, 3, 4), (0, 0, 0, 1))
     out = eval_basis_int(circuit, state)
-    assert out & ((1 << layout.decision_bits) - 1) == state
-    rest = out >> layout.decision_bits
-    rest &= ~(1 << (layout.marked - layout.decision_bits))
+    assert out & ((1 << bits) - 1) == state
+    rest = out >> bits
+    rest &= ~(1 << (layout.marked - bits))
     assert rest == 0
 
 
@@ -449,7 +449,7 @@ def test_pack_unpack_roundtrip():
 def test_reference_marks_match_predicate_exhaustively(name, request):
     inst = request.getfixturevalue(name)
     _, _, opt = brute_force_optimum(inst)
-    everything = np.arange(1 << build_layout(inst, 0).decision_bits, dtype=np.int64)
+    everything = np.arange(1 << search_space(inst).decision_bits, dtype=np.int64)
     for k in (0, 12, 17, 37, opt + 1, 10**6):
         np.testing.assert_array_equal(reference_marks(inst, k, everything), predicate_marks(inst, k), err_msg=f"k={k}")
 
@@ -521,7 +521,7 @@ def test_exhaustive_scan_refuses_over_cap_before_building(monkeypatch):
         }
     )
     cap = oracle.EXHAUSTIVE_SCAN_CAP_BITS
-    assert build_layout(inst, 5).decision_bits == 28 > cap
+    assert search_space(inst).decision_bits == 28 > cap
     with pytest.raises(ValueError, match=f"^28 decision bits exceed the exhaustive cap of {cap}$"):
         equivalence_scan(inst, 5)
 
