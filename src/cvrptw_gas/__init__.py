@@ -46,7 +46,6 @@ from .oracle import (
     OracleLayout,
     build_layout,
     build_oracle,
-    build_phase_oracle,
     equivalence_scan,
     mark_predicate,
 )

@@ -102,14 +102,7 @@ def _cmd_verify_oracle(args) -> int:
         _check_seed(args.seed)
         indices = sample_indices(inst, args.samples, args.seed)
     report = oracle.equivalence_scan(inst, args.k, indices=indices)
-    _emit(
-        {
-            "assignments_checked": report.assignments_checked,
-            "mismatches": report.mismatches,
-            "dirty_ancillas": report.dirty_ancillas,
-            "decision_changed": report.decision_changed,
-        }
-    )
+    _emit(dataclasses.asdict(report))
     if not report.clean:
         _log("oracle disagrees with the reference marks")
         return EXIT_MISMATCH
@@ -238,7 +231,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (InstanceError, ValueError) as exc:
+    except ValueError as exc:
         _log(f"error: {exc}")
         return EXIT_BAD_INPUT
     except classical.InfeasibleError as exc:

@@ -84,13 +84,9 @@ class Instance:
         return max(v for row in self.T for v in row)
 
     @property
-    def t_sentinel(self) -> int:
-        return time_sentinel(self.n, self.max_travel)
-
-    @property
     def windows_vacuous(self) -> bool:
         """True when every window is the defaulted (0, sentinel) pair."""
-        sentinel = self.t_sentinel
+        sentinel = time_sentinel(self.n, self.max_travel)
         return all(a == 0 and b >= sentinel for a, b in self.windows[1:])
 
 

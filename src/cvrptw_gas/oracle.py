@@ -6,7 +6,14 @@ network, the load chain, the clock chain, and the cost accumulator; a single
 multi-controlled X folds every flag into the output qubit; a mirrored copy of
 the compute phase then returns all working registers to zero. Only the
 decision registers (tour positions and split bits) and the output qubit
-survive.
+survive. :func:`cvrptw_gas.circuit.phase_kickback` turns the marking oracle
+into its phase-flip form.
+
+The decision block is the tour position registers plus just n split bits.
+The load, clock and cost chains share one scratch pool: each chained
+addition writes its value into the low pool bits, ripple-adds them into the
+target register with the next pool qubit as the carry seed, and clears the
+pool by writing the value again.
 
 Two bookkeeping details go beyond the obvious translation of the recurrences:
 
@@ -55,7 +62,6 @@ from .circuit import (
     enumeration_columns,
     eval_basis_batch,
     inverse,
-    phase_kickback,
 )
 from .grover import reference_marks, search_space
 from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
@@ -140,48 +146,36 @@ def build_layout(inst: Instance, k: int) -> OracleLayout:
         )
 
     alloc = Circuit()
-    tour = tuple(alloc.add_register(f"pos{i}", widths.b_node) for i in range(1, n + 1))
-    split = alloc.add_register("split", n)
-    in_range = alloc.add_register("in_range", n)
-    distinct = alloc.add_register("distinct", n * (n - 1) // 2) if n > 1 else None
-    valid_tour = alloc.add_register("valid_tour", 1).qubit(0)
-    load = tuple(alloc.add_register(f"load{i}", widths.w_cap) for i in range(1, n + 1))
-    load_ok = alloc.add_register("load_ok", n)
-    load_overflow = alloc.add_register("load_overflow", n - 1) if n > 1 else None
-    clock = tuple(alloc.add_register(f"clock{i}", widths.w_time) for i in range(1, n + 1))
-    waited = alloc.add_register("waited", n)
-    clock_spill = tuple(alloc.add_register(f"clock_spill{i}", widths.w_time) for i in range(1, n + 1))
-    time_ok = alloc.add_register("time_ok", n)
-    clock_overflow = alloc.add_register("clock_overflow", n - 1) if n > 1 else None
-    cost = alloc.add_register("cost", widths.w_cost)
-    cost_ok = alloc.add_register("cost_ok", 1).qubit(0)
-    marked = alloc.add_register("marked", 1).qubit(0)
-    pool_width = max(widths.b_node, widths.w_cap, widths.w_time, widths.w_cost) + 1
-    pool = alloc.add_register("pool", pool_width)
+    reg = alloc.add_register
 
+    def per_position(prefix: str, width: int) -> tuple[RegisterRef, ...]:
+        return tuple(reg(f"{prefix}{i}", width) for i in range(1, n + 1))
+
+    # Keyword arguments are evaluated left to right, so the registers take
+    # their qubits in the order they are listed here; qubit_count comes last.
     return OracleLayout(
         inst=inst,
         k=k,
         widths=widths,
+        tour=per_position("pos", widths.b_node),
+        split=reg("split", n),
+        in_range=reg("in_range", n),
+        distinct=reg("distinct", n * (n - 1) // 2) if n > 1 else None,
+        valid_tour=reg("valid_tour", 1).qubit(0),
+        load=per_position("load", widths.w_cap),
+        load_ok=reg("load_ok", n),
+        load_overflow=reg("load_overflow", n - 1) if n > 1 else None,
+        clock=per_position("clock", widths.w_time),
+        waited=reg("waited", n),
+        clock_spill=per_position("clock_spill", widths.w_time),
+        time_ok=reg("time_ok", n),
+        clock_overflow=reg("clock_overflow", n - 1) if n > 1 else None,
+        cost=reg("cost", widths.w_cost),
+        cost_ok=reg("cost_ok", 1).qubit(0),
+        marked=reg("marked", 1).qubit(0),
+        pool=reg("pool", max(widths.b_node, widths.w_cap, widths.w_time, widths.w_cost) + 1),
+        registers=alloc.registers,
         qubit_count=alloc.qubit_count,
-        tour=tour,
-        split=split,
-        in_range=in_range,
-        distinct=distinct,
-        valid_tour=valid_tour,
-        load=load,
-        load_ok=load_ok,
-        load_overflow=load_overflow,
-        clock=clock,
-        waited=waited,
-        clock_spill=clock_spill,
-        time_ok=time_ok,
-        clock_overflow=clock_overflow,
-        cost=cost,
-        cost_ok=cost_ok,
-        marked=marked,
-        pool=pool,
-        registers=dict(alloc.registers),
     )
 
 
@@ -192,6 +186,19 @@ def _customer_table(layout: OracleLayout, value) -> list[int]:
     for v in layout.inst.customers:
         table[v] = value(v)
     return table
+
+
+def _add_through_pool(
+    c: Circuit, layout: OracleLayout, value: Circuit, target: RegisterRef, carry_out: int | None = None
+) -> None:
+    """``target += value`` through the shared pool: ``value`` XORs a number
+    into the low ``target.width`` pool bits, the ripple-carry adder adds them
+    with the next pool qubit as its carry seed, and ``value`` runs again to
+    clear the pool (XOR writes are their own inverse)."""
+    w = target.width
+    c.extend(value)
+    c.extend(build_adder(layout.pool_value(w), target, layout.pool_seed(w), carry_out=carry_out))
+    c.extend(value)
 
 
 def build_uniqueness(layout: OracleLayout) -> Circuit:
@@ -233,20 +240,11 @@ def build_capacity_chain(layout: OracleLayout) -> Circuit:
     for i in range(n):
         c.extend(build_conditional_encoder(layout.tour[i], demand, layout.load[i]))
         if i > 0:
-            carry_gate = (layout.split.qubit(i - 1), False)
-            scratch = layout.pool_value(w)
+            carry_on = (layout.split.qubit(i - 1), False)
+            previous = layout.empty_circuit()
             for j in range(w):
-                c.ccx(carry_gate, (layout.load[i - 1].qubit(j), True), scratch.qubit(j))
-            c.extend(
-                build_adder(
-                    scratch,
-                    layout.load[i],
-                    layout.pool_seed(w),
-                    carry_out=layout.load_overflow.qubit(i - 1),
-                )
-            )
-            for j in range(w):
-                c.ccx(carry_gate, (layout.load[i - 1].qubit(j), True), scratch.qubit(j))
+                previous.ccx(carry_on, (layout.load[i - 1].qubit(j), True), layout.pool.qubit(j))
+            _add_through_pool(c, layout, previous, layout.load[i], carry_out=layout.load_overflow.qubit(i - 1))
         c.extend(build_leq_const(layout.load[i], inst.c_max, layout.load_ok.qubit(i), layout.pool.slice(0, w + 1)))
     return c
 
@@ -293,16 +291,7 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 layout.pool_value(w),
                 controls=[carry_on],
             )
-            c.extend(leg)
-            c.extend(
-                build_adder(
-                    layout.pool_value(w),
-                    layout.clock[i],
-                    layout.pool_seed(w),
-                    carry_out=layout.clock_overflow.qubit(i - 1),
-                )
-            )
-            c.extend(leg)  # XOR encoders are their own inverse
+            _add_through_pool(c, layout, leg, layout.clock[i], carry_out=layout.clock_overflow.qubit(i - 1))
         c.extend(build_conditional_encoder(layout.tour[i], opening, window))
         c.extend(
             build_max_with_register(
@@ -363,10 +352,7 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     def add_encoded(encoder: Circuit, table_max: int) -> None:
         nonlocal bound
         bound += table_max
-        s = bits_for(bound)
-        c.extend(encoder)
-        c.extend(build_adder(layout.pool_value(s), layout.cost.slice(0, s), layout.pool_seed(s)))
-        c.extend(encoder)
+        _add_through_pool(c, layout, encoder, layout.cost.slice(0, bits_for(bound)))
 
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)
@@ -415,12 +401,6 @@ def build_oracle(inst: Instance, k: int) -> Circuit:
     full.mcx(_mark_controls(layout), layout.marked)
     full.extend(inverse(compute))
     return full
-
-
-def build_phase_oracle(inst: Instance, k: int) -> Circuit:
-    """Phase-flip variant (:func:`~cvrptw_gas.circuit.phase_kickback`):
-    marking becomes a sign flip on marked decision assignments."""
-    return phase_kickback(build_oracle(inst, k))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +494,10 @@ def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
     """Run the oracle over basis states and compare its marks with
     :func:`~cvrptw_gas.grover.reference_marks`.
 
-    ``indices`` selects the assignments to check; None means all of them,
-    refused above :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits before the
-    oracle is built. The states run through the circuit in chunks of
+    ``indices`` selects the assignments to check, each in ``[0, 2^bits)``
+    for the instance's decision bits; None means all of them, refused above
+    :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits. Both refusals come before
+    the oracle is built. The states run through the circuit in chunks of
     2^_SCAN_CHUNK_BITS. Working registers start at zero; afterwards every one
     of them must read zero and the decision bits must be unchanged.
     """
@@ -534,13 +515,28 @@ def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
             gc.enable()
 
 
+def _checked_indices(indices, bits: int) -> np.ndarray:
+    """``indices`` as int64, refused unless each is an integer in
+    ``[0, 2^bits)``; a plain cast would run 1.7 as index 1."""
+    span = f"[0, 2^{bits})"
+    checked = np.asarray(indices)
+    if checked.size and checked.dtype.kind not in "iu":
+        raise ValueError(f"assignment indices must be integers in {span}")
+    checked = checked.astype(np.int64, copy=False)
+    # x >> bits is 0 exactly when 0 <= x < 2^bits; int64 has 63 value bits.
+    outside = checked >> min(bits, 63) != 0
+    if outside.any():
+        raise ValueError(f"assignment index {checked[outside][0]} is outside {span}")
+    return checked
+
+
 def _scan(inst: Instance, k: int, indices) -> ScanReport:
     bits = search_space(inst).decision_bits
     if indices is None:
         if bits > EXHAUSTIVE_SCAN_CAP_BITS:
             raise ValueError(f"{bits} decision bits exceed the exhaustive cap of {EXHAUSTIVE_SCAN_CAP_BITS}")
     else:
-        indices = np.asarray(list(indices), dtype=np.int64)
+        indices = _checked_indices(indices, bits)
     circuit = build_oracle(inst, k)
     marked = circuit.registers["marked"].qubit(0)
     checked = mismatches = dirty_states = changed_states = 0

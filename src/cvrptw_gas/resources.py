@@ -15,7 +15,7 @@ expression does not (ceilings and bookkeeping qubits only add).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .instance import Instance, bits_for
 
@@ -80,16 +80,7 @@ class QubitBudget:
 
     @property
     def total(self) -> int:
-        return (
-            self.tour
-            + self.splits
-            + self.all_different
-            + self.capacity
-            + self.time
-            + self.cost
-            + self.output
-            + self.ancilla
-        )
+        return sum(astuple(self))
 
 
 def qubit_budget(n: int, d_max: int, t_max: int, w_max: int) -> QubitBudget:

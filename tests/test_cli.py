@@ -218,24 +218,19 @@ def test_solve_gas_stdout_pinned(capsys, example_path, seed, digest):
 
 
 def test_verify_oracle_exhaustive(capsys, small_path):
+    """The report is pinned as printed, so key names and order count too
+    (here and in sample mode)."""
     code, out, _ = run_cli(capsys, "verify-oracle", small_path, "--k", "19")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["assignments_checked"] == 512
-    assert doc["mismatches"] == 0
-    assert doc["dirty_ancillas"] == 0
-    assert doc["decision_changed"] == 0
+    assert out == '{"assignments_checked": 512, "mismatches": 0, "dirty_ancillas": 0, "decision_changed": 0}\n'
 
 
 def test_verify_oracle_sample_mode(capsys, example_path):
     code, out, _ = run_cli(
-        capsys, "verify-oracle", example_path, "--k", "272", "--mode", "sample", "--samples", "2000"
+        capsys, "verify-oracle", example_path, "--k", "182", "--mode", "sample", "--samples", "2000", "--seed", "0"
     )
     assert code == 0
-    doc = json.loads(out)
-    assert doc["assignments_checked"] == 2000
-    assert doc["mismatches"] == 0
-    assert doc["decision_changed"] == 0
+    assert out == '{"assignments_checked": 2000, "mismatches": 0, "dirty_ancillas": 0, "decision_changed": 0}\n'
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -10,6 +10,7 @@ from cvrptw_gas.instance import (
     parse_instance,
     serialize_instance,
     six_customer_example,
+    time_sentinel,
 )
 
 
@@ -38,7 +39,7 @@ def test_time_defaults_to_distance():
 
 def test_missing_windows_default_to_sentinel(example6):
     assert example6.windows_vacuous
-    sentinel = example6.t_sentinel
+    sentinel = time_sentinel(6, example6.max_travel)
     assert all(w == (0, sentinel) for w in example6.windows[1:])
     # sentinel covers any achievable clock value
     assert sentinel >= 6 * example6.max_travel

@@ -17,6 +17,7 @@ from cvrptw_gas.circuit import (
     enumeration_columns,
     eval_basis_batch,
     eval_basis_int,
+    phase_kickback,
     register_values,
 )
 from cvrptw_gas.grover import feasible_table, reference_marks, search_space
@@ -86,6 +87,103 @@ def test_layout_deterministic(example6):
     a = build_layout(example6, 200)
     b = build_layout(example6, 200)
     assert a == b
+
+
+def _per_position(prefix, start, width, n):
+    return [(f"{prefix}{i}", start + (i - 1) * width, width) for i in range(1, n + 1)]
+
+
+# fixture: (k, [(register, start, width)], (valid_tour, cost_ok, marked, qubit_count))
+REGISTER_TABLES = {
+    "example6": (
+        182,
+        [
+            *_per_position("pos", 0, 3, 6),
+            ("split", 18, 6),
+            ("in_range", 24, 6),
+            ("distinct", 30, 15),
+            ("valid_tour", 45, 1),
+            *_per_position("load", 46, 3, 6),
+            ("load_ok", 64, 6),
+            ("load_overflow", 70, 5),
+            *_per_position("clock", 75, 9, 6),
+            ("waited", 129, 6),
+            *_per_position("clock_spill", 135, 9, 6),
+            ("time_ok", 189, 6),
+            ("clock_overflow", 195, 5),
+            ("cost", 200, 10),
+            ("cost_ok", 210, 1),
+            ("marked", 211, 1),
+            ("pool", 212, 11),
+        ],
+        (45, 210, 211, 223),
+    ),
+    "mixed4": (
+        35,
+        [
+            *_per_position("pos", 0, 3, 4),
+            ("split", 12, 4),
+            ("in_range", 16, 4),
+            ("distinct", 20, 6),
+            ("valid_tour", 26, 1),
+            *_per_position("load", 27, 3, 4),
+            ("load_ok", 39, 4),
+            ("load_overflow", 43, 3),
+            *_per_position("clock", 46, 5, 4),
+            ("waited", 66, 4),
+            *_per_position("clock_spill", 70, 5, 4),
+            ("time_ok", 90, 4),
+            ("clock_overflow", 94, 3),
+            ("cost", 97, 7),
+            ("cost_ok", 104, 1),
+            ("marked", 105, 1),
+            ("pool", 106, 8),
+        ],
+        (26, 104, 105, 114),
+    ),
+    "single_customer": (
+        5,
+        [
+            ("pos1", 0, 1),
+            ("split", 1, 1),
+            ("in_range", 2, 1),
+            ("valid_tour", 3, 1),
+            ("load1", 4, 2),
+            ("load_ok", 6, 1),
+            ("clock1", 7, 4),
+            ("waited", 11, 1),
+            ("clock_spill1", 12, 4),
+            ("time_ok", 16, 1),
+            ("cost", 17, 4),
+            ("cost_ok", 21, 1),
+            ("marked", 22, 1),
+            ("pool", 23, 5),
+        ],
+        (3, 21, 22, 28),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTER_TABLES))
+def test_layout_register_table_pinned(name, request):
+    """Register names, order, starts and widths, and the single-qubit flags:
+    the dump pin covers the gates' qubit indices but not the names, which
+    diagnostics read. Each layout field is the register of its name, and
+    n = 1 has no pair flags and no overflow registers."""
+    k, table, flags = REGISTER_TABLES[name]
+    layout = build_layout(request.getfixturevalue(name), k)
+    assert [(name, r.start, r.width) for name, r in layout.registers.items()] == table
+    assert (layout.valid_tour, layout.cost_ok, layout.marked, layout.qubit_count) == flags
+    regs = layout.registers
+    n = layout.inst.n
+    for field, prefix in (("tour", "pos"), ("load", "load"), ("clock", "clock"), ("clock_spill", "clock_spill")):
+        assert getattr(layout, field) == tuple(regs[f"{prefix}{i}"] for i in range(1, n + 1))
+    singles = ("split", "in_range", "distinct", "load_ok", "load_overflow", "waited", "time_ok", "clock_overflow")
+    for field in (*singles, "cost", "pool"):
+        assert getattr(layout, field) == regs.get(field)
+    assert {f for f in singles if getattr(layout, f) is None} == (
+        set() if n > 1 else {"distinct", "load_overflow", "clock_overflow"}
+    )
 
 
 def test_layout_rejects_oversized_travel_time():
@@ -418,11 +516,9 @@ def test_full_oracle_threshold_strictness(example6):
 
 
 def test_phase_oracle_wraps_marking_oracle(vacuous3):
-    from cvrptw_gas.oracle import build_phase_oracle
-
     layout = build_layout(vacuous3, 50)
     marking = build_oracle(vacuous3, 50)
-    phase = build_phase_oracle(vacuous3, 50)
+    phase = phase_kickback(build_oracle(vacuous3, 50))
     kinds = [g.kind for g in phase.gates]
     assert kinds[:2] == ["x", "h"] and kinds[-2:] == ["h", "x"]
     assert all(g.target == layout.marked for g in (phase.gates[0], phase.gates[1], phase.gates[-1], phase.gates[-2]))
@@ -524,6 +620,23 @@ def test_exhaustive_scan_refuses_over_cap_before_building(monkeypatch):
     assert search_space(inst).decision_bits == 28 > cap
     with pytest.raises(ValueError, match=f"^28 decision bits exceed the exhaustive cap of {cap}$"):
         equivalence_scan(inst, 5)
+
+
+@pytest.mark.parametrize("index", [1 << 24, -1])
+def test_scan_refuses_indices_outside_the_decision_space(example6, monkeypatch, index):
+    """An index past the 24 decision bits, below zero or not an integer is
+    refused, naming the range, before the oracle is built; it used to run
+    as another index."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the oracle of a scan with an out-of-range index")
+
+    monkeypatch.setattr(oracle, "build_oracle", refuse)
+    with pytest.raises(ValueError, match=rf"^assignment index {index} is outside \[0, 2\^24\)$"):
+        equivalence_scan(example6, 182, indices=[0, index, 5])
+    for other in (1 << 70, 1.5, "3"):
+        with pytest.raises(ValueError, match=r"^assignment indices must be integers in \[0, 2\^24\)$"):
+            equivalence_scan(example6, 182, indices=[0, other])
 
 
 def _drop_gate_on(builder, qubit_of):
