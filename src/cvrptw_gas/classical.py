@@ -111,7 +111,7 @@ def brute_force_optimum(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...
     """
     n = inst.n
     if n > BRUTE_FORCE_CUSTOMER_CAP:
-        raise InstanceError(f"brute force capped at {BRUTE_FORCE_CUSTOMER_CAP} customers")
+        raise InstanceError(f"brute force capped at {BRUTE_FORCE_CUSTOMER_CAP} customers, instance has {n}")
     best: tuple[tuple[int, ...], tuple[int, ...], int] | None = None
     for P in itertools.permutations(range(1, n + 1)):
         for interior in itertools.product((0, 1), repeat=n - 1):

@@ -143,16 +143,11 @@ def _feasible_block(inst: Instance, tours: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 @dataclass(frozen=True)
-class FeasibleTable:
+class FeasibleTable(SearchSpace):
     """Indices and costs of every feasible assignment of one instance."""
 
-    decision_bits: int
     indices: np.ndarray
     costs: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return 1 << self.decision_bits
 
     def count(self, k) -> int:
         return int((self.costs < k).sum())
@@ -310,17 +305,10 @@ class GasResult:
     routes: RouteSet
     trace: SearchTrace
 
-    def best_dict(self) -> dict:
-        return {
-            "P": list(self.P),
-            "y": list(self.y),
-            "cost": self.cost,
-            "routes": self.routes.as_lists(),
-        }
-
     def trace_dict(self) -> dict:
         thresholds = [{**_fields(t), "trials": [_fields(tr) for tr in t.trials]} for t in self.trace.thresholds]
-        return {**_fields(self.trace), "thresholds": thresholds, "best": self.best_dict()}
+        best = {"P": list(self.P), "y": list(self.y), "cost": self.cost, "routes": self.routes.as_lists()}
+        return {**_fields(self.trace), "thresholds": thresholds, "best": best}
 
 
 def _fields(record) -> dict:

@@ -64,7 +64,7 @@ from .circuit import (
     inverse,
 )
 from .grover import reference_marks, search_space
-from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - re-exported
+from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - bench/ reads them from oracle
 from .qarith import (
     build_adder,
     build_and_reduce,

@@ -170,10 +170,6 @@ def build_lt_const(
         raise CircuitError(f"comparison constant {k} out of range for {w} bits")
     if k == 0:
         return _blank(qubit_count, a, ancilla, flag)  # nothing is below zero
-    if k == (1 << w):
-        c = _blank(qubit_count, a, ancilla, flag)
-        c.x(flag)
-        return c
     return build_leq_const(a, k - 1, flag, ancilla, qubit_count=qubit_count)
 
 

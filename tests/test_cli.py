@@ -96,6 +96,22 @@ def test_infeasible_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_brute_cap_names_the_instance_size(capsys, tmp_path):
+    n = 10
+    doc = {
+        "n": n,
+        "c_max": 4,
+        "distance": [[0 if i == j else 1 + (i * j) % 5 for j in range(n + 1)] for i in range(n + 1)],
+        "demands": [1] * n,
+    }
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert "capped at 9 customers, instance has 10" in err
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [

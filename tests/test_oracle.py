@@ -21,6 +21,7 @@ from cvrptw_gas.circuit import (
     register_values,
 )
 from cvrptw_gas.grover import feasible_table, reference_marks, search_space
+from cvrptw_gas.instance import pack_assignment, unpack_assignment
 from cvrptw_gas.oracle import (
     LayoutError,
     build_capacity_chain,
@@ -32,8 +33,6 @@ from cvrptw_gas.oracle import (
     build_uniqueness,
     equivalence_scan,
     mark_predicate,
-    pack_assignment,
-    unpack_assignment,
 )
 from cvrptw_gas.qarith import build_adder
 from cvrptw_gas.resources import register_widths
