@@ -1,10 +1,12 @@
 """Gate-level IR for reversible circuits with three evaluation backends.
 
 Gates are X, H and MCX with per-control polarities (an MCX with one control
-is a CX, with two a Toffoli). The basis-state evaluator handles permutation
-circuits (no H) one state at a time; the column evaluator runs the same
-circuit over many basis states at once, one big-integer bit column per qubit;
-the dense statevector evaluator covers small circuits that do contain H. It
+is a CX, with two a Toffoli); a gate is an immutable named tuple. The
+basis-state evaluator handles permutation circuits (no H) one state at a
+time; the column evaluator runs the same circuit over many basis states at
+once, one big-integer bit column per qubit, in one pass that takes the AND of
+a run of consecutive MCX gates with equal controls once; the dense
+statevector evaluator covers small circuits that do contain H. It
 applies every gate in place to one copy of the state: X flips an axis as a
 view, MCX swaps two slices and H is an unscaled butterfly over the two halves
 of its axis through one half-size scratch buffer, its 1/sqrt(2) factors
@@ -19,6 +21,7 @@ of a register is bit ``j`` (the least significant) of the integer it encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +38,7 @@ class CircuitError(ValueError):
     """Raised for malformed gates, registers, or unsupported evaluation."""
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str  # "x" | "h" | "mcx"
     target: int
     controls: tuple[tuple[int, bool], ...] = ()
@@ -103,17 +105,30 @@ class Circuit:
         self.gates.append(Gate("h", target))
 
     def mcx(self, controls, target: int) -> None:
-        ctl = tuple((int(q), bool(p)) for q, p in controls)
-        if not ctl:
-            raise CircuitError("mcx needs at least one control; use x for none")
-        self._check_qubit(target)
-        seen = set()
-        for q, _ in ctl:
-            self._check_qubit(q)
-            if q == target or q in seen:
+        self.gates.append(Gate("mcx", target, self.checked_controls(controls, (target,))))
+
+    def checked_controls(self, controls, targets) -> tuple[tuple[int, bool], ...]:
+        """``controls`` as a tuple of ``(qubit, polarity)`` pairs, checked in
+        one pass for an MCX on each of ``targets``: refused when empty, outside
+        the circuit, repeated or among the targets. Polarities take no part in
+        the check, so one call covers every gate of a fan-out over the same
+        control qubits."""
+        n = self.qubit_count
+        for t in targets:
+            self._check_qubit(t)
+        seen = set(targets)
+        ctl = []
+        for q, p in controls:
+            q = int(q)
+            if not 0 <= q < n:
+                raise CircuitError(f"qubit {q} outside circuit of {n} qubits")
+            if q in seen:
                 raise CircuitError("mcx controls must be distinct and differ from the target")
             seen.add(q)
-        self.gates.append(Gate("mcx", target, ctl))
+            ctl.append((q, bool(p)))
+        if not ctl:
+            raise CircuitError("mcx needs at least one control; use x for none")
+        return tuple(ctl)
 
     def cx(self, control: int, target: int) -> None:
         self.mcx([(control, True)], target)
@@ -260,21 +275,58 @@ def eval_basis_batch(c: Circuit, columns: list[int], count: int) -> list[int]:
 
     ``columns`` must list one integer per circuit qubit; missing high bits are
     zeros. Returns new columns, inputs untouched.
+
+    One pass over the gates, with two savings that keep the result that of
+    :func:`eval_basis_int` on every state:
+
+    * an MCX whose controls equal those of the MCX before it (the same tuple
+      object, or an equal one) reuses that gate's AND, unless an X came in
+      between or a target written since the AND was taken is one of those
+      controls (a :class:`Gate` built directly may target its own controls);
+    * the complement of a column read through a negative control is kept
+      until its qubit is written.
+
+    An AND of zero flips nothing and is not XORed in. The table encoders
+    write one MCX per set bit of an entry, all sharing one controls tuple, so
+    runs are common: the 9,365 MCX gates of the benchmark's windowed
+    six-customer oracle at k=208 take 5,035 ANDs.
     """
     if len(columns) != c.qubit_count:
         raise CircuitError("one column per qubit required")
     full = (1 << count) - 1
     cols = list(columns)
-    for g in c.gates:
-        if g.kind == "x":
-            cols[g.target] ^= full
-        elif g.kind == "mcx":
-            acc = full
-            for q, pol in g.controls:
-                acc &= cols[q] if pol else cols[q] ^ full
-                if not acc:
-                    break
-            cols[g.target] ^= acc
+    flipped: dict[int, int] = {}  # qubit -> complement of its column
+    run = None  # controls of the last MCX, whose AND ``acc`` holds; None after an X
+    run_qubits: set[int] | None = None  # their qubits, gathered on the first reuse
+    acc = last_target = 0
+    for kind, target, controls in c.gates:
+        if kind == "mcx":
+            if controls is run or controls == run:
+                if run_qubits is None:
+                    run_qubits = {q for q, _ in run}
+                fresh = last_target in run_qubits  # the last MCX wrote one of the controls
+            else:
+                run, run_qubits, fresh = controls, None, True
+            if fresh:
+                acc = full  # an MCX without controls always fires
+                for i, (q, pol) in enumerate(controls):
+                    if pol:
+                        col = cols[q]
+                    else:
+                        col = flipped.get(q)
+                        if col is None:
+                            col = flipped[q] = cols[q] ^ full
+                    acc = col if i == 0 else acc & col
+                    if not acc:
+                        break
+            last_target = target
+            if acc:
+                cols[target] ^= acc
+                flipped.pop(target, None)
+        elif kind == "x":
+            cols[target] ^= full
+            flipped.pop(target, None)
+            run = None
         else:
             raise CircuitError("basis evaluator handles permutation gates only (no H)")
     return cols

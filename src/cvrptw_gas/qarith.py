@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .circuit import Circuit, CircuitError, RegisterRef, inverse
+from .circuit import Circuit, CircuitError, Gate, RegisterRef, inverse
 
 
 def _blank(qubit_count: int | None, *refs: RegisterRef | int) -> Circuit:
@@ -278,18 +278,21 @@ def _encode_rows(
 ) -> Circuit:
     """``out ^= value`` for each ``(code, value)`` row while the ``index``
     qubits read ``code`` (bit j on ``index[j]``) and every extra control holds:
-    one MCX per set bit of the value. Zero values emit nothing."""
+    one MCX per set bit of the value, all gates of a row sharing one controls
+    tuple. Zero values emit nothing. The control qubits are checked against
+    every output bit once, for the whole encoder."""
     c = _blank(qubit_count, out, *index, *(q for q, _ in controls))
+    targets = tuple(out.qubits())
+    checked = c.checked_controls([*((q, False) for q in index), *controls], targets)
+    polarized = [((q, False), (q, True)) for q, _ in checked[: len(index)]]
+    extra = checked[len(polarized) :]
     for code, entry in rows:
         if entry == 0:
             continue
         if not 0 <= entry < (1 << out.width):
             raise CircuitError(f"{label} value {entry} does not fit {out.width} bits")
-        pattern = [(q, bool((code >> j) & 1)) for j, q in enumerate(index)]
-        pattern.extend(controls)
-        for j in range(out.width):
-            if (entry >> j) & 1:
-                c.mcx(pattern, out.qubit(j))
+        pattern = tuple(pair[(code >> j) & 1] for j, pair in enumerate(polarized)) + extra
+        c.gates.extend(Gate("mcx", t, pattern) for j, t in enumerate(targets) if (entry >> j) & 1)
     return c
 
 

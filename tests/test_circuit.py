@@ -9,6 +9,7 @@ from cvrptw_gas.circuit import (
     Circuit,
     CircuitError,
     Gate,
+    RegisterRef,
     count_resources,
     enumeration_columns,
     eval_basis_batch,
@@ -71,13 +72,23 @@ def test_basis_eval_rejects_h():
 
 
 def test_gate_validation():
+    """Each refusal names what is wrong; a control is refused whether it is
+    repeated or the target itself."""
     c = Circuit(qubit_count=2)
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match=r"^qubit 5 outside circuit of 2 qubits$"):
         c.x(5)
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match=r"^qubit 5 outside circuit of 2 qubits$"):
+        c.mcx([(0, True)], 5)
+    with pytest.raises(CircuitError, match=r"^qubit -1 outside circuit of 2 qubits$"):
+        c.mcx([(-1, True)], 1)
+    distinct = r"^mcx controls must be distinct and differ from the target$"
+    with pytest.raises(CircuitError, match=distinct):
         c.mcx([(0, True), (0, False)], 1)
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match=distinct):
         c.mcx([(1, True)], 1)
+    with pytest.raises(CircuitError, match=r"^mcx needs at least one control; use x for none$"):
+        c.mcx([], 1)
+    assert c.gates == []
 
 
 def test_inverse_reverses_gates():
@@ -138,6 +149,63 @@ def test_batch_matches_single_state_eval():
         expected = eval_basis_int(c, state)
         got = sum(((out[j] >> s_i) & 1) << j for j in range(10))
         assert got == expected
+
+
+def assert_batch_matches_scalar(c: Circuit) -> None:
+    """The batch evaluator over all 2^n states equals the scalar one on each."""
+    n = c.qubit_count
+    out = eval_basis_batch(c, enumeration_columns(n), 1 << n)
+    got = register_values(out, RegisterRef("all", 0, n), 1 << n)
+    assert got.tolist() == [eval_basis_int(c, s) for s in range(1 << n)]
+
+
+def mcx(target, *controls):
+    """An MCX built directly, past the checks of :meth:`Circuit.mcx`."""
+    return Gate("mcx", target, tuple(controls))
+
+
+POS0, POS1, NEG0 = (0, True), (1, True), (0, False)
+# Each circuit is wrong under an evaluator that reuses an AND or a complement
+# it should have dropped.
+REUSE_CASES = {
+    "equal controls, not the same tuple": [mcx(2, POS0, POS1), mcx(3, POS0, POS1)],
+    "an X on a control ends the run": [mcx(2, POS0, POS1), Gate("x", 0), mcx(3, POS0, POS1)],
+    "a target among the next gate's equal controls": [mcx(0, POS0, POS1), mcx(2, POS0, POS1)],
+    "a negative control written between two ANDs": [mcx(2, NEG0, POS1), mcx(0, POS1), mcx(3, NEG0, POS1)],
+    "a negative control written inside the run": [mcx(2, NEG0, POS1), mcx(0, NEG0, POS1), mcx(3, NEG0, POS1)],
+    "no controls": [mcx(2, POS0), mcx(3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_batch_reuse_cases(case):
+    gates = REUSE_CASES[case]
+    assert_batch_matches_scalar(Circuit(qubit_count=4, gates=gates))
+
+
+def test_batch_matches_scalar_on_shared_controls():
+    """Random X/MCX circuits whose MCX gates draw their controls from a
+    small pool, in runs, so the batch evaluator keeps reusing ANDs and
+    complements. Controls come as the pooled tuple or an equal copy, and a
+    gate may target one of its own controls, as only a directly built gate
+    can."""
+    rng = random.Random(13)
+    qubits = 6
+    for _ in range(300):
+        pool = []
+        for _ in range(3):
+            chosen = rng.sample(range(qubits), rng.randint(1, 3))
+            pool.append(tuple((q, rng.random() < 0.5) for q in chosen))
+        gates = []
+        while len(gates) < 30:
+            if rng.random() < 0.15:
+                gates.append(Gate("x", rng.randrange(qubits)))
+                continue
+            controls = rng.choice(pool)
+            for _ in range(rng.randint(1, 4)):
+                shared = controls if rng.random() < 0.5 else tuple(list(controls))
+                gates.append(Gate("mcx", rng.randrange(qubits), shared))
+        assert_batch_matches_scalar(Circuit(qubit_count=qubits, gates=gates))
 
 
 def test_statevector_hadamard():

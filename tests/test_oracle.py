@@ -729,6 +729,28 @@ def test_equivalence_scan_catches_chain_faults(fault, request, monkeypatch):
     assert all(r.dirty_ancillas == 0 and r.decision_changed == 0 for r in faulty)
 
 
+@pytest.mark.parametrize("after_mark", ["first", "middle", "last"])
+def test_equivalence_scan_catches_an_uncompute_fault(mixed4, monkeypatch, after_mark):
+    """Every chain fault above is mirrored, so it uncomputes cleanly. Here one
+    gate of the mirror alone is removed, so the circuit is no longer its own
+    compute phase reversed: the mark is still right, but working registers
+    stay dirty, and the scan must count them."""
+    real = oracle.build_oracle
+
+    def faulty(inst, k):
+        c = real(inst, k)
+        marked = c.registers["marked"].qubit(0)
+        mark = next(i for i, g in enumerate(c.gates) if g.target == marked)
+        first, last = mark + 1, len(c.gates) - 1
+        del c.gates[{"first": first, "middle": (first + last) // 2, "last": last}[after_mark]]
+        return c
+
+    monkeypatch.setattr(oracle, "build_oracle", faulty)
+    report = equivalence_scan(mixed4, 10**6)
+    assert report.mismatches == 0 and report.decision_changed == 0
+    assert report.dirty_ancillas > 0
+
+
 def test_oracle_equivalence_exhaustive_six_customer(example6):
     """All 2^24 assignments of the paper's example at its optimum + 1,
     streamed through the circuit in chunks."""

@@ -210,8 +210,30 @@ def test_encoder_value_overflow():
     host = Circuit()
     idx_reg = host.add_register("idx", 2)
     out_reg = host.add_register("out", 2)
-    with pytest.raises(CircuitError, match="fit"):
+    with pytest.raises(CircuitError, match=r"^table value 4 does not fit 2 bits$"):
         build_conditional_encoder(idx_reg, [0, 4], out_reg)
+    with pytest.raises(CircuitError, match=r"^matrix value 5 does not fit 2 bits$"):
+        build_pair_matrix_encoder(idx_reg.slice(0, 1), idx_reg.slice(1, 1), [[0, 5], [1, 0]], range(2), out_reg)
+
+
+def test_encoder_refuses_controls_on_its_output():
+    """The control qubits are checked against every output bit once per
+    encoder, so an output overlapping the index or an extra control is
+    refused even where the table's set bits would never reach it."""
+    host = Circuit()
+    idx_reg = host.add_register("idx", 3)
+    flag = host.add_register("flag", 1)
+    distinct = r"^mcx controls must be distinct and differ from the target$"
+    with pytest.raises(CircuitError, match=distinct):
+        build_conditional_encoder(idx_reg, [1, 1, 1], idx_reg.slice(2, 1))
+    with pytest.raises(CircuitError, match=distinct):
+        build_conditional_encoder(idx_reg.slice(0, 2), [1, 0, 0, 0], idx_reg.slice(1, 2))
+    with pytest.raises(CircuitError, match=distinct):  # only out bit 1 (qubit 2) is ever set
+        build_conditional_encoder(idx_reg.slice(0, 2), [2], idx_reg.slice(1, 2))
+    with pytest.raises(CircuitError, match=distinct):
+        build_conditional_encoder(idx_reg.slice(0, 2), [1, 2], flag, controls=[(flag.qubit(0), True)])
+    with pytest.raises(CircuitError, match=distinct):
+        build_conditional_encoder(idx_reg.slice(0, 2), [1, 2], flag, controls=[(0, True)])
 
 
 @pytest.mark.parametrize("polarity", [True, False])
