@@ -41,14 +41,20 @@ def _log(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise InstanceError(f"--seed must be nonnegative, got {seed}")
+# Smallest accepted value of each numeric option, checked for every command
+# that has the option, whatever its method or mode, before the command runs.
+_MINIMUMS = (("budget", 0), ("samples", 1), ("seed", 0))
+
+
+def _check_minimums(args) -> None:
+    for name, least in _MINIMUMS:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            bound = "nonnegative" if least == 0 else f"at least {least}"
+            raise InstanceError(f"--{name} must be {bound}, got {value}")
 
 
 def _cmd_solve(args) -> int:
-    if args.budget is not None and args.budget < 0:
-        raise InstanceError(f"--budget must be nonnegative, got {args.budget}")
     inst = _load_instance(args.instance)
     if args.method == "brute":
         P, y, cost = classical.brute_force_optimum(inst)
@@ -60,7 +66,6 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     if args.seed is None:
         raise InstanceError("gas requires --seed for a reproducible trace")
-    _check_seed(args.seed)
     cfg = grover.GasConfig(rng_seed=args.seed, max_oracle_calls=args.budget, initial_k=args.initial_k)
     result = grover.gas_minimize(inst, cfg)
     _emit(
@@ -94,12 +99,9 @@ def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
 
 
 def _cmd_verify_oracle(args) -> int:
-    if args.samples < 1:
-        raise InstanceError(f"--samples must be at least 1, got {args.samples}")
     inst = _load_instance(args.instance)
     indices = None
     if args.mode == "sample":
-        _check_seed(args.seed)
         indices = sample_indices(inst, args.samples, args.seed)
     report = oracle.equivalence_scan(inst, args.k, indices=indices)
     _emit(dataclasses.asdict(report))
@@ -185,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-oracle",
         help="compare the circuit with the vectorized reference",
-        description="Run the oracle circuit over basis states, in chunks of 2^16, and compare its marks "
-        "with the vectorized reference (the feasible-table sweep's recurrences). Every working register "
-        "must return to zero and every decision bit must be unchanged.",
+        description=f"Run the oracle circuit over basis states, in chunks of 2^{oracle._SCAN_CHUNK_BITS}, and "
+        "compare its marks with the vectorized reference (the feasible-table sweep's recurrences). Every working "
+        "register must return to zero and every decision bit must be unchanged.",
     )
     verify.add_argument("instance")
     verify.add_argument("--k", type=int, required=True)
@@ -195,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("exhaustive", "sample"),
         default="exhaustive",
-        help="exhaustive: every assignment, up to 26 decision bits; sample: seeded indices",
+        help=f"exhaustive: every assignment, up to {oracle.EXHAUSTIVE_SCAN_CAP_BITS} decision bits; "
+        "sample: seeded indices",
     )
     verify.add_argument(
         "--samples",
@@ -230,6 +233,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_minimums(args)
         return args.run(args)
     except ValueError as exc:
         _log(f"error: {exc}")

@@ -7,6 +7,10 @@ and an ideal measurement lands uniformly on the marked set. The full oracle
 needs far more qubits than a dense statevector can hold even for toy
 instances, so the statevector path exists only to validate that closed form
 on small synthetic oracles, whose marking circuit also reads out the result.
+Its Grover iterate is two reflections, each the
+:func:`~cvrptw_gas.circuit.phase_kickback` form of a marking circuit: the
+oracle itself, and one MCX that marks the all-zero decision pattern, which
+between two H layers is the inversion about the mean.
 
 Marked counts come from a classical sweep of the decision space. Malformed
 codes (a repeated or out-of-range customer, a clear final split bit) are never
@@ -380,8 +384,11 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
     ``oracle`` must be a marking circuit (permutation gates only) with a
     one-qubit ``marked`` register that returns every other non-decision qubit
     to zero; ``decision_registers`` names the registers spanning the search
-    space. The uniform superposition is prepared over those qubits and each
-    round applies the phase oracle then inversion about the mean, so the
+    space. The uniform superposition is prepared over those qubits. Each
+    round is two :func:`~cvrptw_gas.circuit.phase_kickback` reflections: the
+    phase oracle, then H on the decision qubits, the phase form of one MCX
+    that flips ``marked`` when every decision qubit is 0, and H again, which
+    is I - 2|s><s| (the inversion about the mean, up to a global sign). The
     rounds leave the work qubits and ``marked`` at zero. The readout applies
     the marking circuit once more and returns the probability that
     ``marked`` reads 1. Every gate is simulated on a real state (all its
@@ -395,30 +402,19 @@ def statevector_grover(oracle: Circuit, decision_registers, m: int) -> float:
     for name in decision_registers:
         decision_qubits.extend(oracle.registers[name].qubits())
     out = oracle.registers["marked"].qubit(0)
-    bits = len(decision_qubits)
 
     phase = phase_kickback(oracle)
+    zero = Circuit(nq, dict(oracle.registers))
+    zero.mcx([(q, False) for q in decision_qubits], out)
+    reflect_zero = phase_kickback(zero)
     g = Circuit(nq, dict(oracle.registers))
     for q in decision_qubits:
         g.h(q)
     for _ in range(m):
         g.extend(phase)
-        # inversion about the mean over the decision qubits
         for q in decision_qubits:
             g.h(q)
-        for q in decision_qubits:
-            g.x(q)
-        # H, then a flip of the top decision qubit controlled on all the others
-        # (a plain X when it is alone), then H: a multi-controlled Z.
-        top = decision_qubits[-1]
-        g.h(top)
-        if bits == 1:
-            g.x(top)
-        else:
-            g.mcx([(q, True) for q in decision_qubits[:-1]], top)
-        g.h(top)
-        for q in decision_qubits:
-            g.x(q)
+        g.extend(reflect_zero)
         for q in decision_qubits:
             g.h(q)
     g.extend(oracle)

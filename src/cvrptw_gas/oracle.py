@@ -124,12 +124,6 @@ class OracleLayout:
     def empty_circuit(self) -> Circuit:
         return Circuit(self.qubit_count, dict(self.registers))
 
-    def pool_value(self, width: int) -> RegisterRef:
-        return self.pool.slice(0, width)
-
-    def pool_seed(self, offset: int) -> RegisterRef:
-        return self.pool.slice(offset, 1)
-
 
 def build_layout(inst: Instance, k: int) -> OracleLayout:
     """Allocate every register; same instance and threshold give identical
@@ -199,7 +193,7 @@ def _add_through_pool(
     clear the pool (XOR writes are their own inverse)."""
     w = target.width
     c.extend(value)
-    c.extend(build_adder(layout.pool_value(w), target, layout.pool_seed(w), carry_out=carry_out))
+    c.extend(build_adder(layout.pool.slice(0, w), target, layout.pool.slice(w, 1), carry_out=carry_out))
     c.extend(value)
 
 
@@ -220,7 +214,7 @@ def build_uniqueness(layout: OracleLayout) -> Circuit:
                     layout.tour[i],
                     layout.tour[j],
                     layout.distinct.qubit(idx),
-                    layout.pool_value(layout.widths.b_node),
+                    layout.pool.slice(0, layout.widths.b_node),
                 )
             )
             idx += 1
@@ -275,7 +269,8 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     opening = _customer_table(layout, lambda v: inst.windows[v][0])
     closing = _customer_table(layout, lambda v: inst.windows[v][1])
     open_to_close = [a ^ b for a, b in zip(opening, closing)]
-    window = layout.pool_value(w)
+    window = layout.pool.slice(0, w)
+    seed = layout.pool.slice(w, 1)
     for i in range(n):
         if i == 0:
             c.extend(build_conditional_encoder(layout.tour[0], from_depot, layout.clock[0]))
@@ -290,7 +285,7 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 layout.tour[i],
                 inst.T,
                 inst.customers,
-                layout.pool_value(w),
+                layout.pool.slice(0, w),
                 controls=[carry_on],
             )
             _add_through_pool(c, layout, leg, layout.clock[i], carry_out=layout.clock_overflow.qubit(i - 1))
@@ -301,11 +296,11 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 window,
                 layout.waited.qubit(i),
                 layout.clock_spill[i],
-                layout.pool_seed(w),
+                seed,
             )
         )
         c.extend(build_conditional_encoder(layout.tour[i], open_to_close, window))
-        c.extend(build_leq_register(layout.clock[i], window, layout.time_ok.qubit(i), layout.pool_seed(w)))
+        c.extend(build_leq_register(layout.clock[i], window, layout.time_ok.qubit(i), seed))
         c.extend(build_conditional_encoder(layout.tour[i], closing, window))
     return c
 
@@ -345,6 +340,7 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     n = inst.n
     w = layout.widths.w_cost
     c = layout.empty_circuit()
+    value = layout.pool.slice(0, w)
     to_first = _customer_table(layout, lambda v: inst.D[0][v])
     back_home = _customer_table(layout, lambda v: inst.D[v][0])
     direct = max((inst.D[u][v] for u in inst.customers for v in inst.customers if u != v), default=0)
@@ -358,15 +354,9 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
 
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)
-        add_encoded(build_exit_leg_encoder(layout, i, layout.pool_value(w)), max(max(back_home), direct))
-        add_encoded(
-            build_conditional_encoder(layout.tour[i], to_first, layout.pool_value(w), controls=[restart]),
-            max(to_first),
-        )
-    add_encoded(
-        build_conditional_encoder(layout.tour[n - 1], back_home, layout.pool_value(w)),
-        max(back_home),
-    )
+        add_encoded(build_exit_leg_encoder(layout, i, value), max(max(back_home), direct))
+        add_encoded(build_conditional_encoder(layout.tour[i], to_first, value, controls=[restart]), max(to_first))
+    add_encoded(build_conditional_encoder(layout.tour[n - 1], back_home, value), max(back_home))
     # Any threshold above the register range marks every cost.
     k_eff = min(layout.k, 1 << w)
     c.extend(build_lt_const(layout.cost, k_eff, layout.cost_ok, layout.pool.slice(0, w + 1)))

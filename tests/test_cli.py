@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cvrptw_gas import oracle
 from cvrptw_gas.cli import main, sample_indices
 from cvrptw_gas.instance import serialize_instance, unpack_assignment
 
@@ -178,13 +179,29 @@ def test_sweep_keeps_large_values_that_fit(capsys, tmp_path):
     [
         ["solve", "--method", "gas", "--seed", "-1"],
         ["verify-oracle", "--k", "19", "--mode", "sample", "--samples", "10", "--seed", "-1"],
+        ["solve", "--method", "brute", "--seed", "-1"],
+        ["solve", "--method", "heuristic", "--seed", "-4"],
+        ["verify-oracle", "--k", "5", "--seed", "-2"],
     ],
 )
 def test_negative_seed_names_the_option(capsys, small_path, argv):
+    """Refused for every method and mode, including those that never read
+    the seed."""
     code, out, err = run_cli(capsys, argv[0], small_path, *argv[1:])
     assert code == 2
     assert out == ""
-    assert "--seed must be nonnegative, got -1" in err
+    assert f"--seed must be nonnegative, got {argv[argv.index('--seed') + 1]}" in err
+
+
+def test_verify_oracle_help_names_the_scan_limits(capsys, monkeypatch):
+    """The parser is built per call, so its help reads the current limits."""
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_SCAN_CAP_BITS", 31)
+    monkeypatch.setattr(oracle, "_SCAN_CHUNK_BITS", 13)
+    code, out, _ = run_cli(capsys, "verify-oracle", "--help")
+    assert code == 0
+    text = " ".join(out.split())  # argparse rewraps to the terminal width
+    assert "up to 31 decision bits" in text
+    assert "in chunks of 2^13," in text
 
 
 def test_budget_exit_code(capsys, example_path):

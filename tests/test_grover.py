@@ -284,6 +284,16 @@ def test_statevector_matches_closed_form_small():
         assert got == pytest.approx(success_probability(8, 1, m), abs=1e-9)
 
 
+@pytest.mark.parametrize("bits,pattern", [(1, 1), (2, 2)])
+def test_statevector_one_and_two_decision_qubits(bits, pattern):
+    """The reflection about the mean is one MCX with every decision qubit a
+    negative control; with one decision qubit that MCX has a single control."""
+    oracle = synthetic_marking_oracle(bits, [pattern])
+    for m in range(6):
+        got = statevector_grover(oracle, ["decision"], m)
+        assert got == pytest.approx(success_probability(1 << bits, 1, m), abs=1e-12), m
+
+
 def test_statevector_m0_is_m_over_n():
     oracle = synthetic_marking_oracle(5, [1, 2, 9])
     assert statevector_grover(oracle, ["decision"], 0) == pytest.approx(3 / 32, abs=1e-12)

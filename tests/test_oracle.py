@@ -374,7 +374,7 @@ def test_exit_leg_encoder_writes_one_table(mixed4):
     the return leg and the direct leg lands in the pool."""
     inst = mixed4
     layout = build_layout(inst, 100)
-    out_ref = layout.pool_value(layout.widths.w_cost)
+    out_ref = layout.pool.slice(0, layout.widths.w_cost)
     host = layout.empty_circuit()
     host.extend(build_exit_leg_encoder(layout, 2, out_ref))
     bits = search_space(layout.inst).decision_bits

@@ -31,6 +31,7 @@ from cvrptw_gas.qarith import (
     build_pair_matrix_encoder,
     build_pair_neq,
 )
+from cvrptw_gas.resources import register_widths
 
 
 def run_exhaustive(host: Circuit, block: Circuit, input_bits: int):
@@ -121,6 +122,24 @@ def test_leq_and_lt_const_exhaustive(width):
             assert (register_values(out, flag, count) == op(idx, k)).all(), (build.__name__, width, k)
             assert (register_values(out, a, count) == idx).all(), "operand modified"
             assert (register_values(out, anc, count) == 0).all()
+
+
+def test_lt_const_exhaustive_at_cost_width(example6):
+    """Every threshold of a comparator as wide as the six-customer example's
+    cost register, over every register value."""
+    width = register_widths(example6).w_cost
+    assert width == 10
+    host = Circuit()
+    a = host.add_register("a", width)
+    anc = host.add_register("anc", width + 1)
+    flag = host.add_register("flag", 1)
+    for k in range((1 << width) + 1):
+        block = build_lt_const(a, k, flag.qubit(0), anc, qubit_count=host.qubit_count)
+        out, count = run_exhaustive(host, block, width)
+        idx = np.arange(count)
+        assert (register_values(out, flag, count) == (idx < k)).all(), k
+        assert (register_values(out, a, count) == idx).all(), "operand modified"
+        assert (register_values(out, anc, count) == 0).all(), k
 
 
 def test_comparator_boundaries():
