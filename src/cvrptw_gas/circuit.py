@@ -6,13 +6,14 @@ basis-state evaluator handles permutation circuits (no H) one state at a
 time; the column evaluator runs the same circuit over many basis states at
 once, one big-integer bit column per qubit, in one pass that takes the AND of
 a run of consecutive MCX gates with equal controls once; the dense
-statevector evaluator covers small circuits that do contain H. It
-applies every gate in place to one copy of the state: X flips an axis as a
-view, MCX swaps two slices and H is an unscaled butterfly over the two halves
-of its axis through one half-size scratch buffer, its 1/sqrt(2) factors
-applied together every few hundred H gates, so the gates need one state plus
-half a state. X, H and MCX have real matrices, so a real input is simulated in
-float64 at half the bytes of complex128.
+statevector evaluator covers small circuits that do contain H. It holds
+one copy of the state and one spare state-sized buffer: X flips an axis as a
+view, MCX swaps two slices through the spare, and each run of consecutive H
+gates on distinct qubits is one unscaled layer, made in passes between the
+two buffers that read contiguous halves (a Stockham autosort), its
+1/sqrt(2) factors applied together every few hundred H gates. X, H and MCX
+have real matrices, so a real input is simulated in float64 at half the
+bytes of complex128.
 
 Bit-order convention, binding everywhere in this package: qubit ``start + j``
 of a register is bit ``j`` (the least significant) of the integer it encodes.
@@ -26,11 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 STATEVECTOR_QUBIT_CAP = 26
-# Amplitudes per block of the input norm check.
+# Amplitudes per block of the input norm check and of the scan for zero ends.
 _WEIGHT_BLOCK = 1 << 16
-# An H butterfly without its 1/sqrt(2) scale grows the norm by sqrt(2); the
-# scale owed is applied after this many H gates, so the norm stays below 2^128
-# and far from float64 overflow.
+# An H without its 1/sqrt(2) scale grows the norm by sqrt(2); the scale owed
+# is applied once a layer brings it to this many H gates. A layer adds at most
+# STATEVECTOR_QUBIT_CAP, so at most 255 + 26 = 281 are owed: the norm stays
+# below 2^140.5, far from float64 overflow.
 _H_RESCALE_EVERY = 256
 
 
@@ -358,15 +360,90 @@ def _weight(state: np.ndarray) -> float:
     return sum(float(np.sum(np.abs(state[i : i + _WEIGHT_BLOCK]) ** 2)) for i in range(0, state.size, _WEIGHT_BLOCK))
 
 
-def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
-    """Apply ``gates`` in place to the ``(2,)*n`` state ``nd``; returns the
-    final view (X gates flip axes as views rather than moving amplitudes).
+def _live_range(state: np.ndarray) -> tuple[int, int]:
+    """Flat indices ``[first, last)`` spanning every nonzero amplitude of a
+    flat state, ``(0, 0)`` if there is none. Blocks are read from each end
+    until one holds a nonzero, so a zero head or tail costs one read and a
+    nonzero end one block."""
+    starts = range(0, state.size, _WEIGHT_BLOCK)
+    head = next((s for s in starts if state[s : s + _WEIGHT_BLOCK].any()), None)
+    if head is None:
+        return 0, 0
+    tail = next(s for s in reversed(starts) if state[s : s + _WEIGHT_BLOCK].any())
+    first = head + int(np.argmax(state[head : head + _WEIGHT_BLOCK] != 0))
+    block = state[tail : tail + _WEIGHT_BLOCK]
+    return first, tail + block.size - int(np.argmax(block[::-1] != 0))
 
-    H is applied as the unscaled butterfly ``(lo + hi, lo - hi)``; its
-    1/sqrt(2) factors are collected and applied in one pass every
-    :data:`_H_RESCALE_EVERY` H gates and at the end."""
-    n = nd.ndim
-    scratch = np.empty((2,) * (n - 1), dtype=nd.dtype)
+
+def _hadamard_span(state: np.ndarray, spare: np.ndarray, low: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled H on qubits ``[low, low + width)`` of the flat ``state``, in
+    ``width`` passes between it and the equally sized ``spare``; returns
+    ``(state, spare)`` with the result in the first.
+
+    Amplitude ``s`` splits into (outer, span, inner) bits, ``2**low`` inner
+    amplitudes per span value. Each pass reads the two contiguous halves of
+    the span's top qubit and writes their sum and difference interleaved,
+    which moves that qubit to the bottom of the span (Stockham's autosort):
+    after ``width`` passes every qubit of the span is transformed once and
+    back in place. Outer slices before the first and after the last nonzero
+    amplitude are zero and H maps zero to zero, so they are skipped and
+    zeroed once in ``spare``; the passes then leave them zero in both
+    buffers."""
+    inner = 1 << low
+    outer = state.size >> (low + width)
+    half = 1 << (width - 1)
+    first, last = _live_range(state)
+    first //= inner << width
+    last = -(-last // (inner << width))
+    rows = spare.reshape(outer, -1)
+    rows[:first] = 0
+    rows[last:] = 0
+    for _ in range(width):
+        src = state.reshape(outer, 2, half, inner)[first:last]
+        dst = spare.reshape(outer, half, 2, inner)[first:last]
+        np.add(src[:, 0], src[:, 1], out=dst[:, :, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, :, 1])
+        state, spare = spare, state
+    return state, spare
+
+
+def _steps(gates):
+    """Each X or MCX gate alone, and each maximal run of consecutive H gates
+    on distinct qubits as the list of its targets; a repeated target starts
+    a new run."""
+    run: list[int] = []
+    for g in gates:
+        if g.kind == "h" and g.target not in run:
+            run.append(g.target)
+            continue
+        if run:
+            yield run
+            run = []
+        if g.kind == "h":
+            run.append(g.target)
+        else:
+            yield g
+    if run:
+        yield run
+
+
+def _apply_gates(state: np.ndarray, n: int, gates) -> np.ndarray:
+    """Apply ``gates`` to the flat state of ``n`` qubits; returns the final
+    state, in ``state`` or in the one state-sized spare buffer this
+    allocates.
+
+    X flips an axis of the ``(2,)*n`` view rather than moving amplitudes,
+    and MCX swaps two slices of that view through the spare buffer. Each run
+    of consecutive H gates on distinct qubits is one layer: its qubits split
+    into blocks of consecutive qubits, each transformed by
+    :func:`_hadamard_span`. A layer needs the state in natural order, so a
+    view left flipped by X is first copied into the spare buffer, as is a
+    flipped final state. H is applied unscaled; its 1/sqrt(2) factors are
+    collected and applied in one pass once :data:`_H_RESCALE_EVERY` are owed,
+    and at the end."""
+    shape = (2,) * n
+    spare = np.empty_like(state)
+    nd = state.reshape(shape)
 
     def axis(q: int) -> int:
         return n - 1 - q  # C-order reshape puts qubit 0 in the last axis
@@ -378,31 +455,42 @@ def _apply_gates(nd: np.ndarray, gates) -> np.ndarray:
         sel[ax] = 1
         return lo, nd[tuple(sel) + (Ellipsis,)]
 
+    def unflipped() -> tuple[np.ndarray, np.ndarray]:
+        if nd.flags.c_contiguous:
+            return state, spare
+        np.copyto(spare.reshape(shape), nd)
+        return spare, state
+
     owed = 0  # H gates whose 1/sqrt(2) is not applied yet
-    for g in gates:
-        if g.kind == "x":
-            nd = np.flip(nd, axis=axis(g.target))
-        elif g.kind == "h":
-            lo, hi = halves([slice(None)] * n, axis(g.target))
-            np.add(lo, hi, out=scratch)
-            np.subtract(lo, hi, out=hi)
-            np.copyto(lo, scratch)
-            owed += 1
-            if owed == _H_RESCALE_EVERY:
-                nd *= 2.0 ** (-owed / 2)
+    for step in _steps(gates):
+        if isinstance(step, list):
+            state, spare = unflipped()
+            qubits = sorted(step)
+            low = qubits[0]
+            for prev, q in zip(qubits, qubits[1:] + [None]):
+                if q != prev + 1:
+                    state, spare = _hadamard_span(state, spare, low, prev + 1 - low)
+                    low = q
+            nd = state.reshape(shape)
+            owed += len(step)
+            if owed >= _H_RESCALE_EVERY:
+                state *= 2.0 ** (-owed / 2)
                 owed = 0
+        elif step.kind == "x":
+            nd = np.flip(nd, axis=axis(step.target))
         else:
             sel: list = [slice(None)] * n
-            for q, pol in g.controls:
+            for q, pol in step.controls:
                 sel[axis(q)] = 1 if pol else 0
-            lo, hi = halves(sel, axis(g.target))
-            buf = scratch.reshape(-1)[: lo.size].reshape(lo.shape)
+            lo, hi = halves(sel, axis(step.target))
+            buf = spare[: lo.size].reshape(lo.shape)
             np.copyto(buf, lo)
             np.copyto(lo, hi)
             np.copyto(hi, buf)
+    state, spare = unflipped()
     if owed:
-        nd *= 2.0 ** (-owed / 2)
-    return nd
+        state *= 2.0 ** (-owed / 2)
+    return state
 
 
 def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
@@ -412,13 +500,12 @@ def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
     caller's array is copied, never modified. Amplitudes are held in
     ``np.result_type(input, float64)``: X, H and MCX have real matrices, so a
     real input stays real and streams half the bytes of a complex one, and a
-    complex input stays complex. Gates act in place on the ``(2,)*n`` view of
-    that one copy: X flips an axis as a view, MCX swaps two slices and H is a
-    butterfly over the two halves of its axis, through one half-size scratch
-    buffer allocated per call, with its 1/sqrt(2) scale deferred (see
-    :func:`_apply_gates`). Besides the caller's array, the call holds one
-    state plus half a state; a final state left flipped by X gates is copied
-    out after the scratch buffer is freed.
+    complex input stays complex. The gates act on that copy and one spare
+    buffer of the same size, allocated per call: X flips an axis of the
+    ``(2,)*n`` view, MCX swaps two slices through the spare, and each run of
+    H gates is one layer of passes between the two buffers, with its
+    1/sqrt(2) scale deferred (see :func:`_apply_gates`). Besides the
+    caller's array, the call holds two states; the result is one of them.
     """
     n = c.qubit_count
     check_statevector_size(n)
@@ -428,4 +515,4 @@ def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
     state = np.array(amplitudes, dtype=np.result_type(amplitudes.dtype, np.float64))
     if abs(np.sqrt(_weight(state)) - 1.0) > 1e-12:
         raise CircuitError("input state is not normalized")
-    return _apply_gates(state.reshape((2,) * n), c.gates).reshape(-1)
+    return _apply_gates(state, n, c.gates)

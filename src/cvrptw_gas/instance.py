@@ -11,6 +11,10 @@ import json
 from dataclasses import dataclass
 
 
+# Every top-level key an instance document may carry, in serialized order.
+DOCUMENT_KEYS = ("n", "c_max", "distance", "time", "demands", "windows")
+
+
 class InstanceError(ValueError):
     """Raised for malformed or inconsistent instance documents."""
 
@@ -157,8 +161,9 @@ def parse_instance(text: str) -> Instance:
 
     Defaults: the travel-time matrix falls back to the distance matrix, and
     missing windows become (0, sentinel) which never binds. Every number must
-    be a JSON integer; anything else of the wrong shape or type raises
-    :class:`InstanceError`.
+    be a JSON integer, and every top-level key one of :data:`DOCUMENT_KEYS`
+    (a misspelt optional field would otherwise be dropped in silence);
+    anything else of the wrong shape or type raises :class:`InstanceError`.
     """
     try:
         doc = json.loads(text)
@@ -166,6 +171,9 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
+    for key in doc:
+        if key not in DOCUMENT_KEYS:
+            raise InstanceError(f"unknown field {key!r}; an instance document has only {', '.join(DOCUMENT_KEYS)}")
     for key in ("n", "c_max", "distance", "demands"):
         if key not in doc:
             raise InstanceError(f"missing required field: {key}")

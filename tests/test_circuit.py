@@ -325,6 +325,110 @@ def test_statevector_matches_dense_unitary():
                 assert np.abs(out - u @ amps).max() < 1e-12
 
 
+def random_unit(nprng, size, kind):
+    amps = nprng.normal(size=size) + (1j * nprng.normal(size=size) if kind == "c" else 0)
+    return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+
+
+def random_layer_circuit(rng, qubits):
+    """Runs of H, each on a range of consecutive qubits or on any subset,
+    some broken by a repeated target, each after an odd number of X gates on
+    qubits of the run or outside it, with an MCX between runs."""
+    c = Circuit(qubit_count=qubits)
+    for _ in range(4):
+        if rng.random() < 0.5:
+            low = rng.randrange(qubits)
+            run = list(range(low, rng.randint(low + 1, qubits)))
+            rng.shuffle(run)
+        else:
+            run = rng.sample(range(qubits), rng.randint(1, qubits))
+        others = [q for q in range(qubits) if q not in run]
+        for _ in range(rng.choice((1, 3))):
+            c.x(rng.choice(others if others and rng.random() < 0.5 else run))
+        if len(run) > 1 and rng.random() < 0.4:
+            cut = rng.randrange(1, len(run))
+            run.insert(cut, rng.choice(run[:cut]))
+        for q in run:
+            c.h(q)
+        if qubits > 1:
+            target = rng.randrange(qubits)
+            pool = [q for q in range(qubits) if q != target]
+            c.mcx([(q, rng.random() < 0.5) for q in rng.sample(pool, rng.randint(1, len(pool)))], target)
+    return c
+
+
+def test_statevector_h_layers_match_dense_unitary():
+    rng = random.Random(15)
+    nprng = np.random.default_rng(15)
+    for qubits in range(1, 8):
+        for _ in range(8):
+            c = random_layer_circuit(rng, qubits)
+            u = dense_unitary(c)
+            for kind in "fc":
+                amps = random_unit(nprng, 1 << qubits, kind)
+                assert np.abs(eval_statevector(c, amps) - u @ amps).max() < 1e-12
+
+
+# Which outer slices (over the qubits above an H run) are zero, lowest first.
+ZERO_SLICE_PATTERNS = {
+    "top": (1, 0),
+    "bottom": (0, 1),
+    "top two": (1, 1, 0, 0),
+    "bottom three": (0, 0, 0, 1),
+    "both ends": (0, 1, 1, 0),
+    "both ends, wide": (0, 0, 1, 0, 1, 1, 0, 0),
+    "interior": (1, 0, 0, 1),
+    "interior, split": (1, 0, 1, 1, 0, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("pattern", list(ZERO_SLICE_PATTERNS.values()), ids=list(ZERO_SLICE_PATTERNS))
+def test_statevector_h_layer_keeps_zero_slices(pattern):
+    """An H run over a state whose outer slices are zero in ``pattern`` (the
+    state after the X on the top qubit). Zero slices at either end are
+    skipped, so they must come back exactly zero, and every slice between
+    them, zero or not, transformed. Before the X the amplitudes sit in the
+    other half, so a buffer that held them is not zero where the result
+    must be."""
+    rng = random.Random(len(pattern) * 31 + sum(pattern))
+    nprng = np.random.default_rng(list(pattern))
+    outer_bits = len(pattern).bit_length() - 1
+    live = np.array(pattern, dtype=bool)
+    for qubits in range(outer_bits + 1, 8):
+        low_qubits = qubits - outer_bits
+        for run in ([0], list(range(low_qubits)), rng.sample(range(low_qubits), rng.randint(1, low_qubits))):
+            c = Circuit(qubit_count=qubits)
+            c.x(qubits - 1)
+            for q in run:
+                c.h(q)
+            u = dense_unitary(c)
+            mask = np.repeat(live, 1 << low_qubits)
+            for kind in "fc":
+                after_x = random_unit(nprng, 1 << qubits, kind) * mask
+                after_x /= np.sqrt(np.sum(np.abs(after_x) ** 2))
+                amps = np.roll(after_x, 1 << (qubits - 1))  # X on the top qubit swaps the halves
+                out = eval_statevector(c, amps)
+                assert np.abs(out - u @ amps).max() < 1e-12
+                assert not out[~mask].any()
+
+
+def test_statevector_h_layers_rescale():
+    """1,500 and 1,501 layers of H on 3 qubits: 4,500 unscaled H gates would
+    grow the norm to 2^2250, past float64; the deferred scale keeps every
+    layer finite and the result exact."""
+    nprng = np.random.default_rng(3)
+    amps = random_unit(nprng, 8, "f")
+    layer = Circuit(qubit_count=3)
+    for q in range(3):
+        layer.h(q)
+    h3 = dense_unitary(layer)
+    for layers, expected in ((1500, amps), (1501, h3 @ amps)):
+        c = Circuit(qubit_count=3, gates=layer.gates * layers)
+        out = eval_statevector(c, amps)
+        assert np.isfinite(out).all()
+        assert np.abs(out - expected).max() < 1e-12
+
+
 def test_statevector_long_h_run_stays_finite():
     """H is applied unscaled and its scale settled in batches. 2,001 H gates
     (and 4,001, whose unscaled norm 2^2000 overflows float64) still give

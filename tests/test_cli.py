@@ -134,6 +134,18 @@ def test_malformed_document_exit_code(capsys, tmp_path, field, value, message):
     assert "Traceback" not in err
 
 
+def test_unknown_key_exit_code(capsys, tmp_path):
+    doc = {"n": 2, "c_max": 3, "distance": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}
+    doc["window"] = [[0, 1], [0, 1]]
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "gas", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert "unknown field 'window'" in err
+    assert "Traceback" not in err
+
+
 BIG = 1 << 62
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cvrptw_gas.instance import (
+    DOCUMENT_KEYS,
     InstanceError,
     decode_assignment,
     parse_instance,
@@ -120,6 +121,21 @@ def test_missing_field_and_empty_instance_rejected():
 def test_serialize_parse_round_trip(example6, mixed4):
     for inst in (example6, mixed4):
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+@pytest.mark.parametrize("key", ["window", "Windows", "capacity", ""])
+def test_unknown_key_rejected(key):
+    """A misspelt optional field is refused, not dropped: read as a document
+    without ``windows``, ``"window"`` would give windows that never bind."""
+    doc = {"n": 1, "c_max": 2, "distance": [[0, 1], [1, 0]], "demands": [1], key: [[0, 3]]}
+    with pytest.raises(InstanceError) as info:
+        parse_instance(json.dumps(doc))
+    assert repr(key) in str(info.value)
+    assert "n, c_max, distance, time, demands, windows" in str(info.value)
+
+
+def test_serialized_keys_are_the_document_keys(example6):
+    assert tuple(json.loads(serialize_instance(example6))) == DOCUMENT_KEYS
 
 
 def test_example_passes_validation_again():
