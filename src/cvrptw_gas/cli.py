@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import classical, grover, oracle, resources
-from .instance import Instance, InstanceError, decode_assignment, pack_assignment, parse_instance
+from .instance import Instance, InstanceError, decode_assignment, parse_instance
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -94,8 +94,8 @@ def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
     uniform = rng.integers(0, 1 << bits, size=samples - formed, dtype=np.int64)
     tours = np.argsort(rng.random((formed, n)), axis=1) + 1
     splits = rng.integers(0, 2, size=(formed, n - 1))
-    packed = [pack_assignment(n, b_node, P, (*y, 1)) for P, y in zip(tours.tolist(), splits.tolist())]
-    return np.concatenate([uniform, np.array(packed, dtype=np.int64)])
+    split_bits = np.bitwise_or.reduce(splits << np.arange(n - 1, dtype=np.int64), axis=1) | (1 << (n - 1))
+    return np.concatenate([uniform, grover.tour_keys(tours, b_node) | (split_bits << (n * b_node))])
 
 
 def _cmd_verify_oracle(args) -> int:

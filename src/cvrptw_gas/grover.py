@@ -84,7 +84,16 @@ def success_probability(N: int, M: int, m: int) -> float:
         raise ValueError("need 0 <= M <= N, N >= 1, m >= 0")
     if M == 0:
         return 0.0
-    theta = math.asin(math.sqrt(M / N))
+    return _amplified(_grover_angle(N, M), m)
+
+
+def _grover_angle(N: int, M: int) -> float:
+    """theta with sin^2(theta) = M/N, the marked share of the search space."""
+    return math.asin(math.sqrt(M / N))
+
+
+def _amplified(theta: float, m: int) -> float:
+    """sin^2((2m + 1) theta): the success probability after m Grover rounds."""
     return math.sin((2 * m + 1) * theta) ** 2
 
 
@@ -156,14 +165,6 @@ class FeasibleTable(SearchSpace):
     def count(self, k) -> int:
         return int((self.costs < k).sum())
 
-    def sample(self, k, rng: np.random.Generator) -> tuple[int, int]:
-        """A uniform draw (assignment index, cost) from the marked set."""
-        sel = self.costs < k
-        marked = self.indices[sel]
-        costs = self.costs[sel]
-        pick = int(rng.integers(0, len(marked)))
-        return int(marked[pick]), int(costs[pick])
-
 
 def _sweep_blocks(inst: Instance, tours: np.ndarray):
     """``(start, ok, cost)`` for consecutive blocks of ``tours`` (one tour per
@@ -175,6 +176,12 @@ def _sweep_blocks(inst: Instance, tours: np.ndarray):
         yield (start, *_feasible_block(inst, tours[start : start + per_block]))
 
 
+def tour_keys(tours: np.ndarray, b_node: int) -> np.ndarray:
+    """The tour half of each row's assignment index: entry i of a row of
+    ``tours`` (int64) in bits [i * b_node, (i + 1) * b_node)."""
+    return np.bitwise_or.reduce(tours << (b_node * np.arange(tours.shape[1], dtype=np.int64)), axis=1)
+
+
 @lru_cache(maxsize=8)
 def feasible_table(inst: Instance) -> FeasibleTable:
     n = inst.n
@@ -183,13 +190,13 @@ def feasible_table(inst: Instance) -> FeasibleTable:
         raise ValueError(f"{candidates} well-formed candidates (n={n}) exceed the candidate cap of {CANDIDATE_CAP}")
     b_node = register_widths(inst).b_node
     tours = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    tour_keys = np.bitwise_or.reduce(tours << (b_node * np.arange(n, dtype=np.int64)), axis=1)
+    keys = tour_keys(tours, b_node)
     splits = (np.arange(1 << (n - 1), dtype=np.int64) | (1 << (n - 1))) << (n * b_node)
     kept_idx = []
     kept_cost = []
     for start, ok, cost in _sweep_blocks(inst, tours):
         rows, cols = np.nonzero(ok)
-        kept_idx.append(tour_keys[start + rows] | splits[cols])
+        kept_idx.append(keys[start + rows] | splits[cols])
         kept_cost.append(cost[rows, cols])
     indices, costs = np.concatenate(kept_idx), np.concatenate(kept_cost)
     del kept_idx, kept_cost  # an n = 8 table can keep 5 M rows; sort without the block copies
@@ -223,10 +230,10 @@ def reference_marks(inst: Instance, k, indices) -> np.ndarray:
         seen |= 1 << ((indices >> shift) & code_mask)
     formed = (seen == (1 << (n + 1)) - 2) & ((indices >> (tour_bits + n - 1)) & 1 == 1)
     rows = np.flatnonzero(formed)
-    tour_keys, tour_of = np.unique(indices[rows] & ((1 << tour_bits) - 1), return_inverse=True)
+    keys, tour_of = np.unique(indices[rows] & ((1 << tour_bits) - 1), return_inverse=True)
     split_col = (indices[rows] >> tour_bits) & ((1 << (n - 1)) - 1)
     marks = np.zeros(len(indices), dtype=bool)
-    for start, ok, cost in _sweep_blocks(inst, (tour_keys[:, None] >> shifts) & code_mask):
+    for start, ok, cost in _sweep_blocks(inst, (keys[:, None] >> shifts) & code_mask):
         sel = (tour_of >= start) & (tour_of < start + len(ok))
         r, c = tour_of[sel] - start, split_col[sel]
         marks[rows[sel]] = ok[r, c] & (cost[r, c] < k)
@@ -238,16 +245,17 @@ def reference_marks(inst: Instance, k, indices) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trial:
-    m: int
-    success: bool
-
-
-@dataclass(frozen=True)
 class ThresholdRecord:
+    """One threshold's exponential-search pass. Each trial is an exact
+    ``(m, success)`` tuple of an int and a bool, not a record class: the
+    cyclic garbage collector untracks such a tuple at its first collection,
+    while a dataclass instance (slotted or not) stays tracked, and a caller
+    that keeps many traces would have every later collection walk each
+    trial again."""
+
     k: int
     M: int
-    trials: tuple[Trial, ...]
+    trials: tuple[tuple[int, bool], ...]
     oracle_calls: int
 
 
@@ -264,28 +272,33 @@ def qsearch(
     nothing costs less than ``k``.
 
     Each trial draws a round count m below the current bound, succeeds with
-    the exact closed-form probability, and costs m oracle calls. On success
-    the measurement is a uniform marked assignment. An empty marked set is
+    the exact closed-form probability, and costs m oracle calls; it is
+    recorded as an ``(m, success)`` tuple (see :class:`ThresholdRecord`). On
+    success the measurement is a uniform marked assignment, one draw over
+    the table rows that cost less than ``k``. An empty marked set is
     certified immediately from the exact count. Raises
     :class:`BudgetExhaustedError` once ``calls_before`` plus this pass's
     calls reach ``cfg.max_oracle_calls`` without a success.
     """
     table = feasible_table(inst)
     N = table.N
-    M = table.count(k)
+    rows = np.flatnonzero(table.costs < k)
+    M = len(rows)
     if M == 0:
         return ThresholdRecord(k, 0, (), 0), None
+    theta = _grover_angle(N, M)
     sqrt_n = math.sqrt(N)
     bound = 1.0
-    trials: list[Trial] = []
+    trials: list[tuple[int, bool]] = []
     calls = 0
     while True:
         m = int(rng.integers(0, math.ceil(bound)))
         calls += m
-        hit = bool(rng.random() < success_probability(N, M, m))
-        trials.append(Trial(m, hit))
+        hit = bool(rng.random() < _amplified(theta, m))
+        trials.append((m, hit))
         if hit:
-            return ThresholdRecord(k, M, tuple(trials), calls), table.sample(k, rng)
+            row = rows[int(rng.integers(0, M))]
+            return ThresholdRecord(k, M, tuple(trials), calls), (int(table.indices[row]), int(table.costs[row]))
         bound = min(GROWTH_FACTOR * bound, sqrt_n)
         if cfg.max_oracle_calls is not None and calls_before + calls >= cfg.max_oracle_calls:
             raise BudgetExhaustedError(f"oracle-call budget {cfg.max_oracle_calls} exhausted at threshold {k}")
@@ -310,7 +323,9 @@ class GasResult:
     trace: SearchTrace
 
     def trace_dict(self) -> dict:
-        thresholds = [{**_fields(t), "trials": [_fields(tr) for tr in t.trials]} for t in self.trace.thresholds]
+        thresholds = [
+            {**_fields(t), "trials": [{"m": m, "success": hit} for m, hit in t.trials]} for t in self.trace.thresholds
+        ]
         best = {"P": list(self.P), "y": list(self.y), "cost": self.cost, "routes": self.routes.as_lists()}
         return {**_fields(self.trace), "thresholds": thresholds, "best": best}
 

@@ -156,17 +156,37 @@ def _array(value, label: str) -> list:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is refused, where
+    json.loads would keep its last value without a word."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate a JSON instance document.
 
     Defaults: the travel-time matrix falls back to the distance matrix, and
     missing windows become (0, sentinel) which never binds. Every number must
-    be a JSON integer, and every top-level key one of :data:`DOCUMENT_KEYS`
-    (a misspelt optional field would otherwise be dropped in silence);
-    anything else of the wrong shape or type raises :class:`InstanceError`.
+    be a JSON integer, every key of an object unique, and every top-level key
+    one of :data:`DOCUMENT_KEYS` (a misspelt optional field would otherwise be
+    dropped in silence); anything else of the wrong shape or type raises
+    :class:`InstanceError`. So does a document nested too deeply to read or
+    to quote in a message, which json raises as a RecursionError.
     """
     try:
-        doc = json.loads(text)
+        return _parse(text)
+    except RecursionError as exc:
+        raise InstanceError("instance document is nested too deeply") from exc
+
+
+def _parse(text: str) -> Instance:
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -8,7 +8,11 @@ import pytest
 
 from cvrptw_gas import oracle
 from cvrptw_gas.cli import main, sample_indices
-from cvrptw_gas.instance import serialize_instance, unpack_assignment
+from cvrptw_gas.grover import search_space
+from cvrptw_gas.instance import pack_assignment, serialize_instance, unpack_assignment
+from cvrptw_gas.resources import register_widths
+
+from support import make_instance
 
 
 @pytest.fixture()
@@ -144,6 +148,37 @@ def test_unknown_key_exit_code(capsys, tmp_path):
     assert out == ""
     assert "unknown field 'window'" in err
     assert "Traceback" not in err
+
+
+def test_repeated_key_exit_code(capsys, tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"n": 2, "n": 3, "c_max": 3, "distance": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "brute")
+    assert (code, out, err) == (2, "", "error: repeated key 'n'\n")
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize(
+    "argv,nest",
+    [
+        (["solve", "PATH", "--method", "gas", "--seed", "0"], "{}"),
+        (["solve", "PATH", "--method", "brute"], '{{"n": 2, "c_max": 3, "distance": {}, "demands": [1, 1]}}'),
+        (["verify-oracle", "PATH", "--k", "5"], "{}"),
+        (["verify-oracle", "PATH", "--k", "5", "--mode", "sample"], "{}"),
+        (["resources", "--instance", "PATH"], '{{"n": {}}}'),
+        (["split", "PATH", "--tour", "1,2"], "{}"),
+    ],
+    ids=["solve-gas", "solve-brute", "verify-exhaustive", "verify-sample", "resources", "split"],
+)
+def test_deeply_nested_document_exit_code(capsys, tmp_path, argv, nest):
+    """Every command that reads an instance exits 2 with one error line on a
+    document json cannot read without a RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text(nest.format("[" * DEEP + "]" * DEEP))
+    code, out, err = run_cli(capsys, *(str(path) if arg == "PATH" else arg for arg in argv))
+    assert (code, out, err) == (2, "", "error: instance document is nested too deeply\n")
 
 
 BIG = 1 << 62
@@ -285,6 +320,33 @@ def test_verify_oracle_rejects_nonpositive_samples(capsys, small_path, samples):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+@pytest.mark.parametrize("samples", [1, 2, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sample_indices_pack_like_pack_assignment(n, samples, seed):
+    """The well-formed half, packed in one array pass, equals the scalar
+    packing of the same seeded draws, one sample at a time."""
+    inst = make_instance(
+        {
+            "n": n,
+            "c_max": n,
+            "distance": [[0 if i == j else 1 + (i + j) % 3 for j in range(n + 1)] for i in range(n + 1)],
+            "demands": [1] * n,
+        }
+    )
+    b_node = register_widths(inst).b_node
+    bits = search_space(inst).decision_bits
+    rng = np.random.default_rng(seed)
+    formed = samples // 2
+    uniform = rng.integers(0, 1 << bits, size=samples - formed, dtype=np.int64)
+    tours = np.argsort(rng.random((formed, n)), axis=1) + 1
+    splits = rng.integers(0, 2, size=(formed, n - 1))
+    packed = [pack_assignment(n, b_node, P, (*y, 1)) for P, y in zip(tours.tolist(), splits.tolist())]
+    got = sample_indices(inst, samples, seed)
+    assert got.dtype == np.int64 and len(got) == samples
+    assert got.tolist() == uniform.tolist() + packed
 
 
 def test_verify_oracle_samples_are_half_well_formed(example6):

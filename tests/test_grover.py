@@ -3,6 +3,7 @@ adaptive minimization, and statevector cross-validation."""
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -275,6 +276,36 @@ def test_gas_trace_serialization(cap_bound3):
     assert doc["seed"] == 4
     assert doc["best"]["cost"] == res.cost
     assert all({"k", "M", "trials", "oracle_calls"} <= set(t) for t in doc["thresholds"])
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("example6", "5559e53017d06d53917904cb9f6dd641bb770eebcff65ba62c2174041bdc1a5f"),
+        ("mixed4", "d3d184112ee81fc7b95f33f7aa8101c5ec771f13bc4bf99b5c4d40cd18d2779f"),
+    ],
+)
+def test_gas_traces_pinned_over_seeds(request, name, digest):
+    """sha256 over the trace_dict JSON of seeds 0-199, one document after
+    another, frozen from the implementation whose trials were a dataclass and
+    whose marked draw filtered the table twice. mixed4's windows bind."""
+    inst = request.getfixturevalue(name)
+    h = hashlib.sha256()
+    for seed in range(200):
+        h.update(json.dumps(gas_minimize(inst, GasConfig(rng_seed=seed)).trace_dict()).encode())
+    assert h.hexdigest() == digest
+
+
+def test_gas_trials_are_untracked_tuples(example6):
+    """Kept traces cost the cyclic garbage collector nothing per trial: each
+    trial is an exact (int, bool) tuple, which a collection untracks."""
+    res = gas_minimize(example6, GasConfig(rng_seed=7))
+    gc.collect()
+    trials = [trial for t in res.trace.thresholds for trial in t.trials]
+    assert len(trials) > 50
+    for m, hit in trials:
+        assert type(m) is int and type(hit) is bool
+    assert all(type(trial) is tuple and not gc.is_tracked(trial) for trial in trials)
 
 
 def test_statevector_matches_closed_form_small():

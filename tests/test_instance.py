@@ -134,6 +134,28 @@ def test_unknown_key_rejected(key):
     assert "n, c_max, distance, time, demands, windows" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"n": 2, "n": 3, "c_max": 3, "distance": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}', "n"),
+        ('{"n": 1, "c_max": 2, "distance": [[0, 1], [1, 0]], "demands": [1], "demands": [2]}', "demands"),
+        ('{"n": 1, "c_max": 2, "distance": [[0, 1], [1, 0]], "demands": [1], "window": [], "window": []}', "window"),
+    ],
+    ids=["n", "demands", "window"],
+)
+def test_repeated_key_rejected(text, key):
+    """json.loads alone keeps a repeated key's last value: the first document
+    would read as n = 3."""
+    with pytest.raises(InstanceError, match=f"repeated key '{key}'"):
+        parse_instance(text)
+
+
+def test_deep_nesting_rejected():
+    depth = 100_000
+    with pytest.raises(InstanceError, match="nested too deeply"):
+        parse_instance("[" * depth + "]" * depth)
+
+
 def test_serialized_keys_are_the_document_keys(example6):
     assert tuple(json.loads(serialize_instance(example6))) == DOCUMENT_KEYS
 
