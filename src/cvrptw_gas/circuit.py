@@ -1,19 +1,19 @@
 """Gate-level IR for reversible circuits with three evaluation backends.
 
-Gates are X, H and MCX with per-control polarities (an MCX with one control
-is a CX, with two a Toffoli); a gate is an immutable named tuple. The
-basis-state evaluator handles permutation circuits (no H) one state at a
-time; the column evaluator runs the same circuit over many basis states at
-once, one big-integer bit column per qubit, in one pass that takes the AND of
-a run of consecutive MCX gates with equal controls once; the dense
-statevector evaluator covers small circuits that do contain H. It holds
-one copy of the state and one spare state-sized buffer: X flips an axis as a
-view, MCX swaps two slices through the spare, and each run of consecutive H
-gates on distinct qubits is one unscaled layer, made in passes between the
-two buffers that read contiguous halves (a Stockham autosort), its
-1/sqrt(2) factors applied together every few hundred H gates. X, H and MCX
-have real matrices, so a real input is simulated in float64 at half the
-bytes of complex128.
+Gates are H and MCX with per-control polarities: with no controls an MCX
+is X, with one a CX, with two a Toffoli. A gate is an immutable named
+tuple. The basis-state evaluator handles permutation circuits (no H) one
+state at a time; the column evaluator runs the same circuit over many basis
+states at once, one big-integer bit column per qubit, in one pass that takes
+the AND of a run of consecutive MCX gates with equal controls once; the
+dense statevector evaluator covers small circuits that do contain H. It
+holds one copy of the state and one spare state-sized buffer: an MCX swaps
+two slices through the spare (X, with no controls, is one flipped copy into
+it), and each run of consecutive H gates on distinct qubits is one unscaled
+layer, made in passes between the two buffers that read contiguous halves
+(a Stockham autosort), its 1/sqrt(2) factors applied together every few
+hundred H gates. H and MCX have real matrices, so a real input is simulated
+in float64 at half the bytes of complex128.
 
 Bit-order convention, binding everywhere in this package: qubit ``start + j``
 of a register is bit ``j`` (the least significant) of the integer it encodes.
@@ -41,7 +41,7 @@ class CircuitError(ValueError):
 
 
 class Gate(NamedTuple):
-    kind: str  # "x" | "h" | "mcx"
+    kind: str  # "h" | "mcx"; an MCX with no controls is X
     target: int
     controls: tuple[tuple[int, bool], ...] = ()
 
@@ -100,7 +100,7 @@ class Circuit:
 
     def x(self, target: int) -> None:
         self._check_qubit(target)
-        self.gates.append(Gate("x", target))
+        self.gates.append(Gate("mcx", target))
 
     def h(self, target: int) -> None:
         self._check_qubit(target)
@@ -147,14 +147,12 @@ class Circuit:
         self.gates.extend(block.gates)
 
     def dump(self) -> str:
-        """Debug text, one gate per line, e.g. ``MCX c+3 c-5 t7``."""
+        """Debug text, one gate per line, e.g. ``MCX c+3 c-5 t7`` or ``X t7``."""
         lines = []
-        for g in self.gates:
-            if g.kind == "mcx":
-                ctl = " ".join(f"c{'+' if p else '-'}{q}" for q, p in g.controls)
-                lines.append(f"MCX {ctl} t{g.target}")
-            else:
-                lines.append(f"{g.kind.upper()} t{g.target}")
+        for kind, target, controls in self.gates:
+            name = "H" if kind == "h" else "MCX" if controls else "X"
+            ctl = "".join(f"c{'+' if p else '-'}{q} " for q, p in controls)
+            lines.append(f"{name} {ctl}t{target}")
         return "\n".join(lines)
 
 
@@ -172,22 +170,21 @@ class ResourceReport:
 
 
 def count_resources(c: Circuit) -> ResourceReport:
-    """Exact gate tallies; MCX gates are binned by control count, any polarity."""
-    x = h = 0
+    """Exact gate tallies; MCX gates are binned by control count, any polarity,
+    except those with no controls, which are X and counted as ``x_count``."""
+    h = 0
     by_arity: dict[int, int] = {}
     for g in c.gates:
-        if g.kind == "x":
-            x += 1
-        elif g.kind == "h":
+        if g.kind == "h":
             h += 1
         else:
             arity = len(g.controls)
             by_arity[arity] = by_arity.get(arity, 0) + 1
-    return ResourceReport(c.qubit_count, len(c.gates), x, h, by_arity)
+    return ResourceReport(c.qubit_count, len(c.gates), by_arity.pop(0, 0), h, by_arity)
 
 
 def inverse(c: Circuit) -> Circuit:
-    """Reverse the gate order; X, H and MCX are all self-inverse."""
+    """Reverse the gate order; H and MCX are both self-inverse."""
     return Circuit(c.qubit_count, dict(c.registers), list(reversed(c.gates)))
 
 
@@ -214,17 +211,14 @@ def eval_basis_int(c: Circuit, state: int) -> int:
     is qubit i."""
     if state < 0 or state >> c.qubit_count:
         raise CircuitError("state outside the circuit's qubit range")
-    for g in c.gates:
-        if g.kind == "x":
-            state ^= 1 << g.target
-        elif g.kind == "mcx":
-            for q, pol in g.controls:
-                if bool(state & (1 << q)) != pol:
-                    break
-            else:
-                state ^= 1 << g.target
-        else:
+    for kind, target, controls in c.gates:
+        if kind != "mcx":
             raise CircuitError("basis evaluator handles permutation gates only (no H)")
+        for q, pol in controls:
+            if bool(state & (1 << q)) != pol:
+                break
+        else:
+            state ^= 1 << target
     return state
 
 
@@ -282,9 +276,10 @@ def eval_basis_batch(c: Circuit, columns: list[int], count: int) -> list[int]:
     :func:`eval_basis_int` on every state:
 
     * an MCX whose controls equal those of the MCX before it (the same tuple
-      object, or an equal one) reuses that gate's AND, unless an X came in
-      between or a target written since the AND was taken is one of those
-      controls (a :class:`Gate` built directly may target its own controls);
+      object, or an equal one) reuses that gate's AND, unless a target
+      written since the AND was taken is one of those controls (a
+      :class:`Gate` built directly may target its own controls). An X has
+      no controls, so it ends a run of controlled gates;
     * the complement of a column read through a negative control is kept
       until its qubit is written.
 
@@ -298,39 +293,34 @@ def eval_basis_batch(c: Circuit, columns: list[int], count: int) -> list[int]:
     full = (1 << count) - 1
     cols = list(columns)
     flipped: dict[int, int] = {}  # qubit -> complement of its column
-    run = None  # controls of the last MCX, whose AND ``acc`` holds; None after an X
+    run = None  # controls of the last MCX, whose AND ``acc`` holds
     run_qubits: set[int] | None = None  # their qubits, gathered on the first reuse
     acc = last_target = 0
     for kind, target, controls in c.gates:
-        if kind == "mcx":
-            if controls is run or controls == run:
-                if run_qubits is None:
-                    run_qubits = {q for q, _ in run}
-                fresh = last_target in run_qubits  # the last MCX wrote one of the controls
-            else:
-                run, run_qubits, fresh = controls, None, True
-            if fresh:
-                acc = full  # an MCX without controls always fires
-                for i, (q, pol) in enumerate(controls):
-                    if pol:
-                        col = cols[q]
-                    else:
-                        col = flipped.get(q)
-                        if col is None:
-                            col = flipped[q] = cols[q] ^ full
-                    acc = col if i == 0 else acc & col
-                    if not acc:
-                        break
-            last_target = target
-            if acc:
-                cols[target] ^= acc
-                flipped.pop(target, None)
-        elif kind == "x":
-            cols[target] ^= full
-            flipped.pop(target, None)
-            run = None
-        else:
+        if kind != "mcx":
             raise CircuitError("basis evaluator handles permutation gates only (no H)")
+        if controls is run or controls == run:
+            if run_qubits is None:
+                run_qubits = {q for q, _ in run}
+            fresh = last_target in run_qubits  # the last MCX wrote one of the controls
+        else:
+            run, run_qubits, fresh = controls, None, True
+        if fresh:
+            acc = full  # an MCX without controls always fires
+            for i, (q, pol) in enumerate(controls):
+                if pol:
+                    col = cols[q]
+                else:
+                    col = flipped.get(q)
+                    if col is None:
+                        col = flipped[q] = cols[q] ^ full
+                acc = col if i == 0 else acc & col
+                if not acc:
+                    break
+        last_target = target
+        if acc:
+            cols[target] ^= acc
+            flipped.pop(target, None)
     return cols
 
 
@@ -408,7 +398,7 @@ def _hadamard_span(state: np.ndarray, spare: np.ndarray, low: int, width: int) -
 
 
 def _steps(gates):
-    """Each X or MCX gate alone, and each maximal run of consecutive H gates
+    """Each MCX gate alone, and each maximal run of consecutive H gates
     on distinct qubits as the list of its targets; a repeated target starts
     a new run."""
     run: list[int] = []
@@ -430,64 +420,52 @@ def _steps(gates):
 def _apply_gates(state: np.ndarray, n: int, gates) -> np.ndarray:
     """Apply ``gates`` to the flat state of ``n`` qubits; returns the final
     state, in ``state`` or in the one state-sized spare buffer this
-    allocates.
+    allocates. Both stay C-contiguous throughout.
 
-    X flips an axis of the ``(2,)*n`` view rather than moving amplitudes,
-    and MCX swaps two slices of that view through the spare buffer. Each run
-    of consecutive H gates on distinct qubits is one layer: its qubits split
-    into blocks of consecutive qubits, each transformed by
-    :func:`_hadamard_span`. A layer needs the state in natural order, so a
-    view left flipped by X is first copied into the spare buffer, as is a
-    flipped final state. H is applied unscaled; its 1/sqrt(2) factors are
-    collected and applied in one pass once :data:`_H_RESCALE_EVERY` are owed,
-    and at the end."""
+    An MCX swaps two slices of the ``(2,)*n`` view through the spare buffer;
+    one with no controls (X) is instead copied whole into the spare, flipped
+    along its axis, and the buffers trade places. Each run of consecutive H
+    gates on distinct qubits is one layer: its qubits split into blocks of
+    consecutive qubits, each transformed by :func:`_hadamard_span`. H is
+    applied unscaled; its 1/sqrt(2) factors are collected and applied in one
+    pass once :data:`_H_RESCALE_EVERY` are owed, and at the end."""
     shape = (2,) * n
     spare = np.empty_like(state)
-    nd = state.reshape(shape)
 
     def axis(q: int) -> int:
         return n - 1 - q  # C-order reshape puts qubit 0 in the last axis
 
-    def halves(sel: list, ax: int) -> tuple[np.ndarray, np.ndarray]:
-        # Ellipsis keeps a fully indexed slice a 0-d view rather than a scalar.
-        sel[ax] = 0
-        lo = nd[tuple(sel) + (Ellipsis,)]
-        sel[ax] = 1
-        return lo, nd[tuple(sel) + (Ellipsis,)]
-
-    def unflipped() -> tuple[np.ndarray, np.ndarray]:
-        if nd.flags.c_contiguous:
-            return state, spare
-        np.copyto(spare.reshape(shape), nd)
-        return spare, state
-
     owed = 0  # H gates whose 1/sqrt(2) is not applied yet
     for step in _steps(gates):
         if isinstance(step, list):
-            state, spare = unflipped()
             qubits = sorted(step)
             low = qubits[0]
             for prev, q in zip(qubits, qubits[1:] + [None]):
                 if q != prev + 1:
                     state, spare = _hadamard_span(state, spare, low, prev + 1 - low)
                     low = q
-            nd = state.reshape(shape)
             owed += len(step)
             if owed >= _H_RESCALE_EVERY:
                 state *= 2.0 ** (-owed / 2)
                 owed = 0
-        elif step.kind == "x":
-            nd = np.flip(nd, axis=axis(step.target))
-        else:
-            sel: list = [slice(None)] * n
-            for q, pol in step.controls:
-                sel[axis(q)] = 1 if pol else 0
-            lo, hi = halves(sel, axis(step.target))
-            buf = spare[: lo.size].reshape(lo.shape)
-            np.copyto(buf, lo)
-            np.copyto(lo, hi)
-            np.copyto(hi, buf)
-    state, spare = unflipped()
+            continue
+        nd = state.reshape(shape)
+        if not step.controls:
+            np.copyto(spare.reshape(shape), np.flip(nd, axis=axis(step.target)))
+            state, spare = spare, state
+            continue
+        # Ellipsis keeps a fully indexed slice a 0-d view rather than a scalar.
+        sel: list = [slice(None)] * n + [Ellipsis]
+        for q, pol in step.controls:
+            sel[axis(q)] = 1 if pol else 0
+        sel[axis(step.target)] = 0
+        lo = nd[tuple(sel)]
+        sel[axis(step.target)] = 1
+        hi = nd[tuple(sel)]
+        buf = spare[: lo.size].reshape(lo.shape)
+        np.copyto(buf, lo)
+        np.copyto(lo, hi)
+        np.copyto(hi, buf)
     if owed:
         state *= 2.0 ** (-owed / 2)
     return state
@@ -498,12 +476,12 @@ def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
 
     Amplitude index s is the basis state whose qubit i reads bit i of s. The
     caller's array is copied, never modified. Amplitudes are held in
-    ``np.result_type(input, float64)``: X, H and MCX have real matrices, so a
+    ``np.result_type(input, float64)``: H and MCX have real matrices, so a
     real input stays real and streams half the bytes of a complex one, and a
     complex input stays complex. The gates act on that copy and one spare
-    buffer of the same size, allocated per call: X flips an axis of the
-    ``(2,)*n`` view, MCX swaps two slices through the spare, and each run of
-    H gates is one layer of passes between the two buffers, with its
+    buffer of the same size, allocated per call: an MCX swaps two slices
+    through the spare (X is one flipped copy into it), and each run of H
+    gates is one layer of passes between the two buffers, with its
     1/sqrt(2) scale deferred (see :func:`_apply_gates`). Besides the
     caller's array, the call holds two states; the result is one of them.
     """

@@ -8,11 +8,14 @@ computations bit-exact with the binary registers of the circuit model.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 
 # Every top-level key an instance document may carry, in serialized order.
 DOCUMENT_KEYS = ("n", "c_max", "distance", "time", "demands", "windows")
+# Most characters of a wrong value that an error message quotes.
+_QUOTE_CHARS = 60
 
 
 class InstanceError(ValueError):
@@ -142,17 +145,23 @@ def unpack_assignment(n: int, b_node: int, index: int) -> tuple[tuple[int, ...],
     return P, y
 
 
+def _quote(value) -> str:
+    """``value`` as JSON text for a message, cut after :data:`_QUOTE_CHARS` characters."""
+    text = json.dumps(value)
+    return text if len(text) <= _QUOTE_CHARS else f"{text[:_QUOTE_CHARS]}... ({len(text):,} characters)"
+
+
 def _integer(value, label: str) -> int:
     # JSON true/false arrive as bool, a subclass of int; neither they nor
     # floats such as 4.7 may be read as integers.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceError(f"{label} must be an integer, not {json.dumps(value)}")
+        raise InstanceError(f"{label} must be an integer, not {_quote(value)}")
     return value
 
 
 def _array(value, label: str) -> list:
     if not isinstance(value, list):
-        raise InstanceError(f"{label} must be an array, not {json.dumps(value)}")
+        raise InstanceError(f"{label} must be an array, not {_quote(value)}")
     return value
 
 
@@ -175,8 +184,9 @@ def parse_instance(text: str) -> Instance:
     be a JSON integer, every key of an object unique, and every top-level key
     one of :data:`DOCUMENT_KEYS` (a misspelt optional field would otherwise be
     dropped in silence); anything else of the wrong shape or type raises
-    :class:`InstanceError`. So does a document nested too deeply to read or
-    to quote in a message, which json raises as a RecursionError.
+    :class:`InstanceError`, quoting a short prefix of the value. So do a
+    document nested too deeply to read (a RecursionError in json) and an
+    integer longer than ``sys.get_int_max_str_digits()`` allows.
     """
     try:
         return _parse(text)
@@ -189,6 +199,10 @@ def _parse(text: str) -> Instance:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
+    except InstanceError:
+        raise
+    except ValueError as exc:  # the only other: an integer past Python's digit limit
+        raise InstanceError(f"instance document holds an integer of more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     for key in doc:
@@ -221,7 +235,7 @@ def _parse(text: str) -> Instance:
 
         def as_pair(raw) -> tuple[int, int]:
             if len(_array(raw, "window")) != 2:
-                raise InstanceError(f"window must be an [a, b] pair, not {json.dumps(raw)}")
+                raise InstanceError(f"window must be an [a, b] pair, not {_quote(raw)}")
             return _integer(raw[0], "window bound"), _integer(raw[1], "window bound")
 
         pairs = tuple(as_pair(raw) for raw in raw_windows)

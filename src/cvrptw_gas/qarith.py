@@ -1,7 +1,8 @@
 """Builders for the reversible arithmetic blocks the marking oracle needs.
 
 Everything is built from the MAJ/UMA ripple-carry pieces of Cuccaro-style
-addition, a per-index fan-out encoder, and plain multi-controlled X gates.
+addition, a per-index fan-out encoder, and plain multi-controlled X gates
+(X itself is the one with no controls).
 Each builder returns a block circuit over absolute qubit indices, just wide
 enough for the qubits it touches, so blocks can be concatenated into any
 wider host circuit (:meth:`Circuit.extend`) and mirrored for uncomputation.

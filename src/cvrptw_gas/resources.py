@@ -83,14 +83,20 @@ class QubitBudget:
         return sum(astuple(self))
 
 
+def _require(least: int, **params: int) -> None:
+    """Refuse the first parameter below ``least``, by name."""
+    for name, value in params.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def qubit_budget(n: int, d_max: int, t_max: int, w_max: int) -> QubitBudget:
-    """Integer budget with ceilings for given parameter maxima."""
-    if min(n, d_max, t_max, w_max) < 1:
-        raise ValueError("budget parameters must all be at least 1")
-    b_node = bits_for(n)
-    w_cap = bits_for(d_max)
-    w_time = bits_for(t_max)
-    w_cost = bits_for(w_max)
+    """Integer budget with ceilings for given parameter maxima. Each width is
+    ``bits_for`` of its maximum, as in :func:`register_widths`, so a maximum
+    of 0 takes one bit; only ``n < 1`` or a negative maximum is refused."""
+    _require(1, n=n)
+    _require(0, d_max=d_max, t_max=t_max, w_max=w_max)
+    b_node, w_cap, w_time, w_cost = map(bits_for, (n, d_max, t_max, w_max))
     pool = max(b_node, w_cap, w_time, w_cost) + 1
     return QubitBudget(
         tour=n * b_node,
@@ -109,9 +115,9 @@ def instance_budget(inst: Instance) -> QubitBudget:
 
 
 def figure_expression(n: int, d_max: int, t_max: int, w_max: int) -> float:
-    """The smooth qubit-count expression, evaluated without ceilings."""
-    if min(n, d_max, t_max, w_max) < 1:
-        raise ValueError("parameters must all be at least 1")
+    """The smooth qubit-count expression, evaluated without ceilings; it takes
+    the log2 of each parameter, so each must be at least 1."""
+    _require(1, n=n, d_max=d_max, t_max=t_max, w_max=w_max)
     return (
         n * n
         + n * math.log2(n)
@@ -134,8 +140,7 @@ class GateBudget:
 
 
 def gate_budget(n: int, d_max: int) -> GateBudget:
-    if n < 1 or d_max < 1:
-        raise ValueError("parameters must all be at least 1")
+    _require(1, n=n, d_max=d_max)
     ld = math.log2(d_max)
     ln = math.log2(n)
     return GateBudget(

@@ -49,6 +49,20 @@ def test_x_flips_leftmost_convention():
     assert eval_basis_int(c, 0b0000) == 0b0001
 
 
+def test_mcx_without_controls_is_x():
+    """X is the MCX with no controls: it flips its target on every basis
+    state in each evaluator and dumps as ``X t<q>``."""
+    c = Circuit(qubit_count=3)
+    c.x(1)
+    assert c.gates == [Gate("mcx", 1)]
+    assert c.dump() == "X t1"
+    assert [eval_basis_int(c, s) for s in range(8)] == [s ^ 0b010 for s in range(8)]
+    out = eval_basis_batch(c, enumeration_columns(3), 8)
+    assert register_values(out, RegisterRef("all", 0, 3), 8).tolist() == [s ^ 0b010 for s in range(8)]
+    amps = np.arange(1.0, 9.0) / np.sqrt(204.0)
+    assert np.array_equal(eval_statevector(c, amps), amps[[s ^ 0b010 for s in range(8)]])
+
+
 def test_toffoli_truth_table():
     c = Circuit(qubit_count=3)
     c.ccx(0, 1, 2)
@@ -96,7 +110,7 @@ def test_inverse_reverses_gates():
     c.x(0)
     c.cx(0, 1)
     inv = inverse(c)
-    assert [g.kind for g in inv.gates] == ["mcx", "x"]
+    assert inv.gates == [Gate("mcx", 1, ((0, True),)), Gate("mcx", 0)]
     assert inverse(inverse(c)).gates == c.gates
     assert inverse(Circuit(qubit_count=1)).gates == []
 
@@ -108,7 +122,7 @@ def test_phase_kickback_wraps_marking_gates():
     out = marking.registers["marked"].qubit(0)
     assert out == 3
     phase = phase_kickback(marking)
-    x, h = Gate("x", out), Gate("h", out)
+    x, h = Gate("mcx", out), Gate("h", out)
     assert phase.gates == [x, h, *marking.gates, h, x]
     assert phase.qubit_count == marking.qubit_count
     assert phase.registers == marking.registers
@@ -169,7 +183,9 @@ POS0, POS1, NEG0 = (0, True), (1, True), (0, False)
 # it should have dropped.
 REUSE_CASES = {
     "equal controls, not the same tuple": [mcx(2, POS0, POS1), mcx(3, POS0, POS1)],
-    "an X on a control ends the run": [mcx(2, POS0, POS1), Gate("x", 0), mcx(3, POS0, POS1)],
+    "an X on a control ends the run": [mcx(2, POS0, POS1), mcx(0), mcx(3, POS0, POS1)],
+    "an X off the controls between equal controls": [mcx(2, POS0, POS1), mcx(3), mcx(3, POS0, POS1)],
+    "two X in a row": [mcx(2), mcx(3), mcx(3, POS0)],
     "a target among the next gate's equal controls": [mcx(0, POS0, POS1), mcx(2, POS0, POS1)],
     "a negative control written between two ANDs": [mcx(2, NEG0, POS1), mcx(0, POS1), mcx(3, NEG0, POS1)],
     "a negative control written inside the run": [mcx(2, NEG0, POS1), mcx(0, NEG0, POS1), mcx(3, NEG0, POS1)],
@@ -199,7 +215,7 @@ def test_batch_matches_scalar_on_shared_controls():
         gates = []
         while len(gates) < 30:
             if rng.random() < 0.15:
-                gates.append(Gate("x", rng.randrange(qubits)))
+                gates.append(Gate("mcx", rng.randrange(qubits)))
                 continue
             controls = rng.choice(pool)
             for _ in range(rng.randint(1, 4)):
@@ -275,7 +291,7 @@ def dense_unitary(c: Circuit) -> np.ndarray:
     matrices; amplitude index s has qubit i in bit i, so the top qubit is the
     leftmost kron factor."""
     n = c.qubit_count
-    single = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "h": np.array([[1.0, 1.0], [1.0, -1.0]]) * 2**-0.5}
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) * 2**-0.5
     u = np.eye(1 << n)
     for g in c.gates:
         if g.kind == "mcx":
@@ -284,7 +300,7 @@ def dense_unitary(c: Circuit) -> np.ndarray:
                 fire = all(bool((s >> q) & 1) == pol for q, pol in g.controls)
                 m[s ^ (1 << g.target) if fire else s, s] = 1.0
         else:
-            m = np.kron(np.kron(np.eye(1 << (n - 1 - g.target)), single[g.kind]), np.eye(1 << g.target))
+            m = np.kron(np.kron(np.eye(1 << (n - 1 - g.target)), hadamard), np.eye(1 << g.target))
         u = m @ u
     return u
 

@@ -181,6 +181,30 @@ def test_deeply_nested_document_exit_code(capsys, tmp_path, argv, nest):
     assert (code, out, err) == (2, "", "error: instance document is nested too deeply\n")
 
 
+def test_huge_wrong_value_quoted_short(capsys, tmp_path):
+    """A 200,000-element array where a distance entry belongs: the message
+    quotes a short, marked prefix of it."""
+    doc = {"n": 2, "c_max": 3, "distance": [[0, list(range(200_000)), 2], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "brute")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: distance entry must be an integer, not [0, 1, 2, ")
+    assert err.endswith("... (1,488,890 characters)\n")
+    assert err.count("\n") == 1 and len(err) < 150
+
+
+def test_integer_past_digit_limit_exit_code(capsys, tmp_path):
+    """A 5,000-digit integer: exit 2 with one short line, not Python's advice
+    on raising its digit limit."""
+    path = tmp_path / "digits.json"
+    path.write_text('{"n": ' + "9" * 5000 + ', "c_max": 3, "distance": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "demands": [1, 1]}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--method", "brute")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 150
+    assert "set_int_max_str_digits" not in err
+
+
 BIG = 1 << 62
 
 
@@ -438,6 +462,17 @@ def test_resources_csv(capsys):
 def test_resources_bad_n(capsys):
     code, _, _ = run_cli(capsys, "resources", "--n", "-3")
     assert code == 2
+
+
+def test_resources_zero_maxima_name_the_parameter(capsys, tmp_path):
+    """The qubit budget takes a maximum of 0, but the log2 figure does not, so
+    both commands still exit 2, naming the parameter that is 0."""
+    code, out, err = run_cli(capsys, "resources", "--n", "8", "--d-max", "0")
+    assert (code, out, err) == (2, "", "error: d_max must be at least 1, got 0\n")
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]}))
+    code, out, err = run_cli(capsys, "resources", "--instance", str(path))
+    assert (code, out, err) == (2, "", "error: w_max must be at least 1, got 0\n")
 
 
 def test_split_golden(capsys, example_path):

@@ -336,6 +336,13 @@ def test_statevector_nothing_marked():
         assert statevector_grover(oracle, ["decision"], m) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_statevector_needs_decision_qubits():
+    """With no decision qubits the all-zero reflection would be an MCX with
+    no controls, an X; it is refused instead."""
+    with pytest.raises(CircuitError, match="at least one control"):
+        statevector_grover(synthetic_marking_oracle(2, [1]), [], 1)
+
+
 def test_statevector_decision_registers_in_any_order():
     # Decision qubits split around the marked qubit and listed high register
     # first: the marked mass must still be read at the oracle's own patterns.

@@ -13,6 +13,7 @@ from cvrptw_gas import oracle
 from cvrptw_gas.classical import brute_force_optimum
 from cvrptw_gas.cli import sample_indices
 from cvrptw_gas.circuit import (
+    Gate,
     count_resources,
     enumeration_columns,
     eval_basis_batch,
@@ -310,7 +311,7 @@ def test_time_chain_vacuous_windows_is_flags_only(vacuous3):
     """Vacuous windows cannot bind, so the chain only sets the n flags."""
     layout = build_layout(vacuous3, 100)
     gates = build_time_chain(layout).gates
-    assert [(g.kind, g.target) for g in gates] == [("x", q) for q in layout.time_ok.qubits()]
+    assert gates == [Gate("mcx", q) for q in layout.time_ok.qubits()]
     assert len(gates) == vacuous3.n
 
 
@@ -518,9 +519,8 @@ def test_phase_oracle_wraps_marking_oracle(vacuous3):
     layout = build_layout(vacuous3, 50)
     marking = build_oracle(vacuous3, 50)
     phase = phase_kickback(build_oracle(vacuous3, 50))
-    kinds = [g.kind for g in phase.gates]
-    assert kinds[:2] == ["x", "h"] and kinds[-2:] == ["h", "x"]
-    assert all(g.target == layout.marked for g in (phase.gates[0], phase.gates[1], phase.gates[-1], phase.gates[-2]))
+    x, h = Gate("mcx", layout.marked), Gate("h", layout.marked)
+    assert phase.gates[:2] == [x, h] and phase.gates[-2:] == [h, x]
     assert phase.gates[2:-2] == marking.gates
 
 

@@ -61,6 +61,10 @@ def test_budget_total_matches_layout_for_small_n(example6):
         )
         assert instance_budget(inst).total == build_layout(inst, 10).qubit_count
     assert instance_budget(example6).total == build_layout(example6, 272).qubit_count == 223
+    # All distances 0: the cost bound is 0, and a maximum of 0 takes one bit.
+    zero = make_instance({"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]})
+    assert cost_upper_bound(zero) == 0
+    assert instance_budget(zero).total == build_layout(zero, 0).qubit_count == 32
 
 
 def test_budget_dominates_figure_expression_at_desk_scale():
@@ -153,7 +157,16 @@ def test_plot_csv_format():
 
 
 def test_budget_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    """Each refusal names its parameter. The budget takes a zero maximum
+    (one bit, as ``bits_for`` gives), the log2 expressions do not."""
+    with pytest.raises(ValueError, match=r"^n must be at least 1, got 0$"):
         qubit_budget(0, 8, 8, 512)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^t_max must be at least 0, got -1$"):
+        qubit_budget(4, 8, -1, 512)
+    assert qubit_budget(4, 0, 0, 0) == qubit_budget(4, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^d_max must be at least 1, got 0$"):
         figure_expression(4, 0, 8, 512)
+    with pytest.raises(ValueError, match=r"^w_max must be at least 1, got 0$"):
+        figure_expression(4, 8, 8, 0)
+    with pytest.raises(ValueError, match=r"^n must be at least 1, got 0$"):
+        gate_budget(0, 8)
