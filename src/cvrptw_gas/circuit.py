@@ -7,13 +7,13 @@ state at a time; the column evaluator runs the same circuit over many basis
 states at once, one big-integer bit column per qubit, in one pass that takes
 the AND of a run of consecutive MCX gates with equal controls once; the
 dense statevector evaluator covers small circuits that do contain H. It
-holds one copy of the state and one spare state-sized buffer: an MCX swaps
-two slices through the spare (X, with no controls, is one flipped copy into
-it), and each run of consecutive H gates on distinct qubits is one unscaled
-layer, made in passes between the two buffers that read contiguous halves
-(a Stockham autosort), its 1/sqrt(2) factors applied together every few
-hundred H gates. H and MCX have real matrices, so a real input is simulated
-in float64 at half the bytes of complex128.
+holds one copy of the state and one spare state-sized buffer: an MCX, X
+included, swaps two slices through the spare, and each run of consecutive H
+gates on distinct qubits is one unscaled layer, made in passes between the
+two buffers that read contiguous halves (a Stockham autosort), its
+1/sqrt(2) factors applied together every few hundred H gates. H and MCX
+have real matrices, so a real input is simulated in float64 at half the
+bytes of complex128.
 
 Bit-order convention, binding everywhere in this package: qubit ``start + j``
 of a register is bit ``j`` (the least significant) of the integer it encodes.
@@ -423,12 +423,12 @@ def _apply_gates(state: np.ndarray, n: int, gates) -> np.ndarray:
     allocates. Both stay C-contiguous throughout.
 
     An MCX swaps two slices of the ``(2,)*n`` view through the spare buffer;
-    one with no controls (X) is instead copied whole into the spare, flipped
-    along its axis, and the buffers trade places. Each run of consecutive H
-    gates on distinct qubits is one layer: its qubits split into blocks of
-    consecutive qubits, each transformed by :func:`_hadamard_span`. H is
-    applied unscaled; its 1/sqrt(2) factors are collected and applied in one
-    pass once :data:`_H_RESCALE_EVERY` are owed, and at the end."""
+    with no controls (X) the slices are the two halves of the target's axis.
+    Each run of consecutive H gates on distinct qubits is one layer: its
+    qubits split into blocks of consecutive qubits, each transformed by
+    :func:`_hadamard_span`. H is applied unscaled; its 1/sqrt(2) factors are
+    collected and applied in one pass once :data:`_H_RESCALE_EVERY` are
+    owed, and at the end."""
     shape = (2,) * n
     spare = np.empty_like(state)
 
@@ -450,10 +450,6 @@ def _apply_gates(state: np.ndarray, n: int, gates) -> np.ndarray:
                 owed = 0
             continue
         nd = state.reshape(shape)
-        if not step.controls:
-            np.copyto(spare.reshape(shape), np.flip(nd, axis=axis(step.target)))
-            state, spare = spare, state
-            continue
         # Ellipsis keeps a fully indexed slice a 0-d view rather than a scalar.
         sel: list = [slice(None)] * n + [Ellipsis]
         for q, pol in step.controls:
@@ -479,11 +475,11 @@ def eval_statevector(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
     ``np.result_type(input, float64)``: H and MCX have real matrices, so a
     real input stays real and streams half the bytes of a complex one, and a
     complex input stays complex. The gates act on that copy and one spare
-    buffer of the same size, allocated per call: an MCX swaps two slices
-    through the spare (X is one flipped copy into it), and each run of H
-    gates is one layer of passes between the two buffers, with its
-    1/sqrt(2) scale deferred (see :func:`_apply_gates`). Besides the
-    caller's array, the call holds two states; the result is one of them.
+    buffer of the same size, allocated per call: an MCX, X included, swaps
+    two slices through the spare, and each run of H gates is one layer of
+    passes between the two buffers, with its 1/sqrt(2) scale deferred (see
+    :func:`_apply_gates`). Besides the caller's array, the call holds two
+    states; the result is one of them.
     """
     n = c.qubit_count
     check_statevector_size(n)

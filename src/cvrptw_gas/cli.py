@@ -117,6 +117,10 @@ def _cmd_resources(args) -> int:
         widths = resources.register_widths(inst)
         budget = resources.instance_budget(inst)
         t_max = resources.max_window_close(inst)
+        try:
+            figure = resources.figure_expression(inst.n, inst.c_max, t_max, resources.cost_upper_bound(inst))
+        except ValueError:  # a maximum of 0 has no log2; the budget below still sizes the layout
+            figure = None
         doc = {
             "n": inst.n,
             "widths": {
@@ -125,7 +129,7 @@ def _cmd_resources(args) -> int:
                 "clock": widths.w_time,
                 "cost": widths.w_cost,
             },
-            "figure_qubits": resources.figure_expression(inst.n, inst.c_max, t_max, resources.cost_upper_bound(inst)),
+            "figure_qubits": figure,
             "budget": {**dataclasses.asdict(budget), "total": budget.total},
             "quoted_six_customer_qubits": resources.QUOTED_SIX_CUSTOMER_QUBITS,
         }
@@ -159,8 +163,6 @@ def _cmd_split(args) -> int:
         tour = [int(part) for part in args.tour.split(",") if part.strip()]
     except ValueError as exc:
         raise InstanceError(f"tour must be comma-separated customer ids: {exc}") from exc
-    if sorted(tour) != list(range(1, inst.n + 1)):
-        raise InstanceError("tour must be a permutation of the customers")
     graph = classical.build_auxiliary_graph(inst, tour)
     y, cost = classical.split_shortest_path(graph)
     _emit({"arcs": [[i, j, w] for i, j, w in graph.arcs], "split_y": list(y), "cost": cost})

@@ -82,8 +82,6 @@ def success_probability(N: int, M: int, m: int) -> float:
     """Probability that m Grover rounds over N states with M marked succeed."""
     if not 0 <= M <= N or N < 1 or m < 0:
         raise ValueError("need 0 <= M <= N, N >= 1, m >= 0")
-    if M == 0:
-        return 0.0
     return _amplified(_grover_angle(N, M), m)
 
 
@@ -324,18 +322,16 @@ class GasResult:
 
     def trace_dict(self) -> dict:
         thresholds = [
-            {**_fields(t), "trials": [{"m": m, "success": hit} for m, hit in t.trials]} for t in self.trace.thresholds
+            {
+                "k": t.k,
+                "M": t.M,
+                "trials": [{"m": m, "success": hit} for m, hit in t.trials],
+                "oracle_calls": t.oracle_calls,
+            }
+            for t in self.trace.thresholds
         ]
         best = {"P": list(self.P), "y": list(self.y), "cost": self.cost, "routes": self.routes.as_lists()}
-        return {**_fields(self.trace), "thresholds": thresholds, "best": best}
-
-
-def _fields(record) -> dict:
-    """A dataclass record's fields by name, in declaration order. Cheaper
-    than dataclasses.asdict, whose deep copy costs about 8x as much per
-    trace; vars() would be cheaper still, but it gives every record a
-    dict of its own to keep."""
-    return {name: getattr(record, name) for name in record.__dataclass_fields__}
+        return {"seed": self.trace.seed, "thresholds": thresholds, "best": best}
 
 
 def _initial_threshold(inst: Instance) -> int:

@@ -116,16 +116,20 @@ def instance_budget(inst: Instance) -> QubitBudget:
 
 def figure_expression(n: int, d_max: int, t_max: int, w_max: int) -> float:
     """The smooth qubit-count expression, evaluated without ceilings; it takes
-    the log2 of each parameter, so each must be at least 1."""
+    the log2 of each parameter, so each must be at least 1, and its value is
+    a float, so n must leave it below the float range (n < 2^511 does)."""
     _require(1, n=n, d_max=d_max, t_max=t_max, w_max=w_max)
-    return (
-        n * n
-        + n * math.log2(n)
-        + 6 * n
-        + n * math.log2(d_max)
-        + n * math.log2(t_max)
-        + math.log2(w_max)
-    )
+    try:
+        return (
+            n * n
+            + n * math.log2(n)
+            + 6 * n
+            + n * math.log2(d_max)
+            + n * math.log2(t_max)
+            + math.log2(w_max)
+        )
+    except OverflowError:
+        raise ValueError(f"n of {n.bit_length()} bits puts the smooth figure past the float range") from None
 
 
 @dataclass(frozen=True)

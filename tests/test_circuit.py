@@ -346,6 +346,21 @@ def random_unit(nprng, size, kind):
     return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
 
 
+def test_statevector_x_flips_its_axis():
+    """X, the MCX with no controls, swaps the two halves of its target's axis:
+    on the top, a middle and the bottom qubit it equals np.flip along that
+    axis, bit for bit, on real and complex states."""
+    nprng = np.random.default_rng(19)
+    n = 5
+    for kind in "fc":
+        amps = random_unit(nprng, 1 << n, kind)
+        for q in (0, n // 2, n - 1):
+            c = Circuit(qubit_count=n)
+            c.x(q)
+            want = np.flip(amps.reshape((2,) * n), axis=n - 1 - q).ravel()
+            assert np.array_equal(eval_statevector(c, amps), want)
+
+
 def random_layer_circuit(rng, qubits):
     """Runs of H, each on a range of consecutive qubits or on any subset,
     some broken by a repeated target, each after an odd number of X gates on

@@ -464,15 +464,43 @@ def test_resources_bad_n(capsys):
     assert code == 2
 
 
+ZERO_MAXIMA_DOCUMENTS = (
+    {"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]},
+    {
+        "n": 2,
+        "c_max": 3,
+        "distance": [[0, 4, 5], [4, 0, 2], [5, 2, 0]],
+        "time": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        "demands": [1, 2],
+        "windows": [[0, 0], [0, 0]],
+    },
+)
+
+
 def test_resources_zero_maxima_name_the_parameter(capsys, tmp_path):
-    """The qubit budget takes a maximum of 0, but the log2 figure does not, so
-    both commands still exit 2, naming the parameter that is 0."""
+    """The qubit budget takes a maximum of 0, but the log2 figure does not.
+    With explicit maxima the command exits 2, naming the parameter that is 0.
+    On a document whose cost bound (all distances 0) or latest window close
+    (all windows close at 0) is 0, it reports the figure as null beside the
+    budget, which equals the layout."""
     code, out, err = run_cli(capsys, "resources", "--n", "8", "--d-max", "0")
     assert (code, out, err) == (2, "", "error: d_max must be at least 1, got 0\n")
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps({"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]}))
-    code, out, err = run_cli(capsys, "resources", "--instance", str(path))
-    assert (code, out, err) == (2, "", "error: w_max must be at least 1, got 0\n")
+    for doc in ZERO_MAXIMA_DOCUMENTS:
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "resources", "--instance", str(path))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["figure_qubits"] is None
+        assert report["budget"]["total"] == oracle.build_layout(make_instance(doc), 0).qubit_count
+
+
+def test_resources_huge_n_exit_code(capsys):
+    """An n whose smooth figure is past the float range exits 2 naming n,
+    where the float conversion used to escape as an OverflowError."""
+    for argv in (["--n", str(1 << 600)], ["--plot", f"{1 << 600}:{1 << 600}"]):
+        code, out, err = run_cli(capsys, "resources", *argv)
+        assert (code, out, err) == (2, "", "error: n of 601 bits puts the smooth figure past the float range\n")
 
 
 def test_split_golden(capsys, example_path):
@@ -487,8 +515,11 @@ def test_split_golden(capsys, example_path):
 
 
 def test_split_rejects_bad_tour(capsys, example_path):
-    code, _, _ = run_cli(capsys, "split", example_path, "--tour", "1,1,3,4,5,6")
-    assert code == 2
+    """build_auxiliary_graph refuses a tour that is not a permutation; the
+    command passes its message on as its one error line."""
+    for tour in ("1,1,3,4,5,6", "1,1"):
+        code, out, err = run_cli(capsys, "split", example_path, "--tour", tour)
+        assert (code, out, err) == (2, "", "error: tour is not a permutation of the customers\n")
 
 
 def test_split_single_customer(capsys, tmp_path):
