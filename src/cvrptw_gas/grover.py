@@ -26,6 +26,13 @@ twin that :func:`cvrptw_gas.oracle.equivalence_scan` checks the circuit
 against. The scalar :func:`cvrptw_gas.oracle.mark_predicate` and
 :func:`cvrptw_gas.classical.feasible_and_cost` stay the ground truths the
 sweep is tested against.
+
+The random draws of a seeded solve come from :class:`Draws`, which reads raw
+words from ``np.random.PCG64(seed)``, the bit generator that
+``np.random.default_rng(seed)`` wraps. Its bounded ints and floats equal
+``Generator.integers(0, h)`` and ``Generator.random()`` bit for bit, so the
+traces replay the ``default_rng(seed)`` draws; a differential test holds this
+on every NumPy that CI runs, the 1.21.3 floor included.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ def candidate_count(n: int) -> int:
     return math.factorial(n) << (n - 1)
 
 
-def _check_sweep_range(inst: Instance) -> None:
+def check_sweep_range(inst: Instance) -> None:
     """Refuse an instance whose sweep values could pass the int64 range: the
     cost bound 2n * max D, the load n * c_max and, unless the windows are
     vacuous (the sweep then skips the clock), the clock max close + n * max T.
@@ -168,7 +175,7 @@ def _sweep_blocks(inst: Instance, tours: np.ndarray):
     """``(start, ok, cost)`` for consecutive blocks of ``tours`` (one tour per
     row) of at most :data:`_BLOCK_ROWS` (tour, split) cells each; ``ok`` and
     ``cost`` are :func:`_feasible_block` of ``tours[start : start + len(ok)]``."""
-    _check_sweep_range(inst)
+    check_sweep_range(inst)
     per_block = max(1, _BLOCK_ROWS >> (inst.n - 1))
     for start in range(0, len(tours), per_block):
         yield (start, *_feasible_block(inst, tours[start : start + per_block]))
@@ -241,6 +248,68 @@ def reference_marks(inst: Instance, k, indices) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Threshold search and adaptive minimization
 
+# Raw 64-bit words a Draws stream takes from its bit generator at a time.
+_WORD_BLOCK = 256
+_U32_MASK = 0xFFFFFFFF
+
+
+class Draws:
+    """The random draws of one seeded solve, taken from raw PCG64 words.
+
+    ``np.random.default_rng(seed)`` wraps ``np.random.PCG64(seed)``; this
+    stream holds that bit generator, reads its words :data:`_WORD_BLOCK` at a
+    time with ``random_raw``, and returns exactly what the ``Generator``
+    would, bit for bit, without its per-call cost:
+
+    * :meth:`below` equals ``Generator.integers(0, h)``: Lemire's bounded draw
+      on 32-bit halves. A word serves two halves, low half first, and the
+      spare half waits for the next :meth:`below`.
+    * :meth:`random` equals ``Generator.random()``: the top 53 bits of a whole
+      word, which leaves any spare half alone.
+
+    Words read ahead of use belong to this stream alone, so a stream must not
+    be shared with anything that reads the same bit generator.
+    """
+
+    __slots__ = ("_bits", "_words", "_spare")
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.PCG64(seed)
+        self._words: list[int] = []  # unread words of the block, last one next
+        self._spare: int | None = None  # high half of a word whose low half was drawn
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self._bits.random_raw(_WORD_BLOCK).tolist()
+            self._words.reverse()
+        return self._words.pop()
+
+    def _half(self) -> int:
+        spare = self._spare
+        if spare is not None:
+            self._spare = None
+            return spare
+        word = self._word()
+        self._spare = word >> 32
+        return word & _U32_MASK
+
+    def below(self, h: int) -> int:
+        """A uniform int in [0, h), for 1 <= h < 2^32; h = 1 draws nothing."""
+        if not 1 <= h <= _U32_MASK:
+            raise ValueError(f"below needs 1 <= h < 2**32 = {_U32_MASK + 1}, got {h}")
+        if h == 1:
+            return 0
+        m = self._half() * h
+        if m & _U32_MASK < h:
+            threshold = (_U32_MASK + 1 - h) % h
+            while m & _U32_MASK < threshold:
+                m = self._half() * h
+        return m >> 32
+
+    def random(self) -> float:
+        """A uniform float in [0, 1) with 53 random bits."""
+        return (self._word() >> 11) * 2.0**-53
+
 
 @dataclass(frozen=True)
 class ThresholdRecord:
@@ -261,7 +330,7 @@ def qsearch(
     inst: Instance,
     k: int,
     cfg: GasConfig,
-    rng: np.random.Generator,
+    draws: Draws,
     *,
     calls_before: int = 0,
 ) -> tuple[ThresholdRecord, tuple[int, int] | None]:
@@ -273,8 +342,12 @@ def qsearch(
     the exact closed-form probability, and costs m oracle calls; it is
     recorded as an ``(m, success)`` tuple (see :class:`ThresholdRecord`). On
     success the measurement is a uniform marked assignment, one draw over
-    the table rows that cost less than ``k``. An empty marked set is
-    certified immediately from the exact count. Raises
+    the table rows that cost less than ``k``. Every draw comes from the
+    solve's :class:`Draws` stream, whose ``below(h)`` and ``random()`` equal
+    ``Generator.integers(0, h)`` and ``Generator.random()`` bit for bit on
+    the same seed; h is at most max(ceil(sqrt N), M), which is at most 2^23
+    under :data:`CANDIDATE_CAP`. An empty marked set is certified
+    immediately from the exact count. Raises
     :class:`BudgetExhaustedError` once ``calls_before`` plus this pass's
     calls reach ``cfg.max_oracle_calls`` without a success.
     """
@@ -290,12 +363,12 @@ def qsearch(
     trials: list[tuple[int, bool]] = []
     calls = 0
     while True:
-        m = int(rng.integers(0, math.ceil(bound)))
+        m = draws.below(math.ceil(bound))
         calls += m
-        hit = bool(rng.random() < _amplified(theta, m))
+        hit = draws.random() < _amplified(theta, m)
         trials.append((m, hit))
         if hit:
-            row = rows[int(rng.integers(0, M))]
+            row = rows[draws.below(M)]
             return ThresholdRecord(k, M, tuple(trials), calls), (int(table.indices[row]), int(table.costs[row]))
         bound = min(GROWTH_FACTOR * bound, sqrt_n)
         if cfg.max_oracle_calls is not None and calls_before + calls >= cfg.max_oracle_calls:
@@ -352,13 +425,13 @@ def gas_minimize(inst: Instance, cfg: GasConfig) -> GasResult:
     With exact counts the final certification means no assignment beats the
     last threshold, so the returned cost is the global optimum.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
+    draws = Draws(cfg.rng_seed)
     k = cfg.initial_k if cfg.initial_k is not None else _initial_threshold(inst)
     records: list[ThresholdRecord] = []
     best_index: int | None = None
     calls = 0
     while True:
-        record, found = qsearch(inst, k, cfg, rng, calls_before=calls)
+        record, found = qsearch(inst, k, cfg, draws, calls_before=calls)
         records.append(record)
         calls += record.oracle_calls
         if found is None:

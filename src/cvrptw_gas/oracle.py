@@ -63,7 +63,7 @@ from .circuit import (
     eval_basis_batch,
     inverse,
 )
-from .grover import reference_marks, search_space
+from .grover import check_sweep_range, reference_marks, search_space
 from .instance import Instance, bits_for, pack_assignment, unpack_assignment  # noqa: F401 - bench/ reads them from oracle
 from .qarith import (
     build_adder,
@@ -488,9 +488,10 @@ def equivalence_scan(inst: Instance, k: int, indices=None) -> ScanReport:
 
     ``indices`` selects the assignments to check, each in ``[0, 2^bits)``
     for the instance's decision bits; None means all of them, refused above
-    :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits. Both refusals come before
-    the oracle is built. The states run through the circuit in chunks of
-    2^_SCAN_CHUNK_BITS. Working registers start at zero; afterwards every one
+    :data:`EXHAUSTIVE_SCAN_CAP_BITS` decision bits. Those refusals, and that
+    of an instance whose reference sweep would pass the int64 range, come
+    before the oracle is built. The states run through the circuit in chunks
+    of 2^_SCAN_CHUNK_BITS. Working registers start at zero; afterwards every one
     of them must read zero and the decision bits must be unchanged.
     """
     # The cyclic collector is paused for the scan. The oracle (thousands of
@@ -529,6 +530,7 @@ def _scan(inst: Instance, k: int, indices) -> ScanReport:
             raise ValueError(f"{bits} decision bits exceed the exhaustive cap of {EXHAUSTIVE_SCAN_CAP_BITS}")
     else:
         indices = _checked_indices(indices, bits)
+    check_sweep_range(inst)
     circuit = build_oracle(inst, k)
     marked = circuit.registers["marked"].qubit(0)
     checked = mismatches = dirty_states = changed_states = 0

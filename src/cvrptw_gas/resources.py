@@ -23,6 +23,8 @@ from .instance import Instance, bits_for
 # derivation is undocumented and it does not follow from either convention
 # here, so it is reported for comparison but never asserted.
 QUOTED_SIX_CUSTOMER_QUBITS = 147
+# Most rows one plot builds; every row is built before the first is written.
+PLOT_ROW_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,12 @@ def gate_budget(n: int, d_max: int) -> GateBudget:
     )
 
 
-def emit_plot_data(n_range, d_max: int, t_max: int, w_max: int) -> list[tuple[int, float, int]]:
-    """Rows of (n, smooth expression value, engineering budget total)."""
+def emit_plot_data(n_range: range, d_max: int, t_max: int, w_max: int) -> list[tuple[int, float, int]]:
+    """Rows of (n, smooth expression value, engineering budget total), one per
+    n of ``n_range``, a range of step 1. A range of more than
+    :data:`PLOT_ROW_CAP` rows is refused before any row is built."""
+    if n_range.stop - n_range.start > PLOT_ROW_CAP:
+        raise ValueError(f"plot range longer than the cap of {PLOT_ROW_CAP} rows")
     rows = [
         (n, figure_expression(n, d_max, t_max, w_max), qubit_budget(n, d_max, t_max, w_max).total)
         for n in n_range

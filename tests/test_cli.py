@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cvrptw_gas import oracle
+from cvrptw_gas import oracle, resources
 from cvrptw_gas.cli import main, sample_indices
 from cvrptw_gas.grover import search_space
 from cvrptw_gas.instance import pack_assignment, serialize_instance, unpack_assignment
@@ -233,6 +233,29 @@ def test_sweep_refuses_values_past_int64(capsys, tmp_path, doc, what, optimum):
     assert json.loads(out)["cost"] == optimum
 
 
+@pytest.mark.parametrize("field", ["c_max", "distance"])
+def test_verify_oracle_checks_sweep_range_before_building(capsys, tmp_path, monkeypatch, example6, field):
+    """The example with c_max or one distance at 10^400: verify-oracle exits 2
+    with the message solve gives, and builds no oracle; it used to build one
+    with a 1,330-bit register first."""
+    doc = json.loads(serialize_instance(example6))
+    if field == "c_max":
+        doc["c_max"] = 10**400
+    else:
+        doc["distance"][0][3] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, expected = run_cli(capsys, "solve", str(path), "--seed", "0")
+    assert (code, out) == (2, "") and "64-bit limit" in expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the oracle of an instance past the sweep's range")
+
+    monkeypatch.setattr(oracle, "build_oracle", refuse)
+    for mode in (["--mode", "sample", "--samples", "16"], ["--mode", "exhaustive"]):
+        assert run_cli(capsys, "verify-oracle", str(path), "--k", "182", *mode) == (2, "", expected)
+
+
 def test_sweep_keeps_large_values_that_fit(capsys, tmp_path):
     """Distances of 2^60 put the cost bound at 2^62: no refusal, and GAS
     agrees with brute force to the unit."""
@@ -457,6 +480,24 @@ def test_resources_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,figure_qubits,budget_qubits"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("csv", [[], ["--csv"]])
+def test_resources_plot_row_cap(capsys, monkeypatch, csv):
+    """A --plot range longer than the row cap exits 2 with one line naming the
+    cap, before any row is built; the cap itself is allowed. The boundary is
+    checked at a cap of 3, since 100,000 rows take seconds to build."""
+    refused = f"error: plot range longer than the cap of {resources.PLOT_ROW_CAP} rows\n"
+    assert resources.PLOT_ROW_CAP == 100_000
+    for plot in ("1:100001", "5:100005", "1:10000000000", f"1:{10**400}"):
+        assert run_cli(capsys, "resources", "--plot", plot, *csv) == (2, "", refused)
+    monkeypatch.setattr(resources, "PLOT_ROW_CAP", 3)
+    code, out, err = run_cli(capsys, "resources", "--plot", "4:6", *csv)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:] if csv else json.loads(out)["rows"]
+    assert len(rows) == 3
+    refused = "error: plot range longer than the cap of 3 rows\n"
+    assert run_cli(capsys, "resources", "--plot", "4:7", *csv) == (2, "", refused)
 
 
 def test_resources_bad_n(capsys):

@@ -41,9 +41,10 @@ ODD_VALUES = ODD_INTEGERS + (True, False, 1.5, math.nan, "7")
 ODD_KEYS = ("N", "window", "demand", "", "distance ", "c-max", "0")
 BAD_UTF8 = (b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80", b"\xf0\x28\x8c")
 BIG = str(10**400)
-# Replacement words for the argv cases. None makes a long --plot range:
-# resources builds every row of the range before it writes one.
-ODD_WORDS = ("0", "-1", "1", "1.5", "nan", "", "abc", BIG, "--bogus", "--seed", "1,1", "3:1", "1:3", f"{BIG}:{BIG}")
+# Replacement words for the argv cases. "1:{BIG}" is a --plot range past the
+# row cap, which resources refuses before it builds a row.
+ODD_WORDS = ("0", "-1", "1", "1.5", "nan", "", "abc", BIG, "--bogus", "--seed", "1,1", "3:1", "1:3")
+ODD_WORDS += (f"{BIG}:{BIG}", f"1:{BIG}")
 EXIT_CODES = {0, 2, 3, 4}
 
 

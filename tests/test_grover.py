@@ -20,6 +20,7 @@ from cvrptw_gas.cli import main, sample_indices
 from cvrptw_gas.grover import (
     CANDIDATE_CAP,
     BudgetExhaustedError,
+    Draws,
     GasConfig,
     candidate_count,
     feasible_table,
@@ -182,7 +183,7 @@ def test_success_probability_closed_form():
 
 def test_qsearch_certifies_empty(vacuous3):
     cfg = GasConfig(rng_seed=0)
-    record, found = qsearch(vacuous3, 0, cfg, np.random.default_rng(0))
+    record, found = qsearch(vacuous3, 0, cfg, Draws(0))
     assert found is None
     assert record.M == 0 and record.trials == ()
 
@@ -193,15 +194,15 @@ def test_qsearch_all_marked_first_trial(vacuous3):
     table = feasible_table(inst)
     k = int(table.costs.max()) + 1
     cfg = GasConfig(rng_seed=3)
-    _, (index, _) = qsearch(inst, k, cfg, np.random.default_rng(3))
+    _, (index, _) = qsearch(inst, k, cfg, Draws(3))
     # success probability at any m is M/N-based; sampled state must be marked
     assert mark_predicate(inst, k, *unpack_assignment(inst.n, 2, index)).marked
 
 
 def test_qsearch_deterministic_replay(example6):
     cfg = GasConfig(rng_seed=42)
-    a = qsearch(example6, 553, cfg, np.random.default_rng(42))
-    b = qsearch(example6, 553, cfg, np.random.default_rng(42))
+    a = qsearch(example6, 553, cfg, Draws(42))
+    b = qsearch(example6, 553, cfg, Draws(42))
     assert a == b
     # golden trace, frozen from a seeded run of this module
     record, (_, cost) = a
@@ -213,7 +214,7 @@ def test_qsearch_deterministic_replay(example6):
 def test_qsearch_budget_exhaustion(cap_bound3):
     cfg = GasConfig(rng_seed=9, max_oracle_calls=0)
     with pytest.raises(BudgetExhaustedError, match="budget 0 exhausted at threshold 19"):
-        qsearch(cap_bound3, 19, cfg, np.random.default_rng(9))
+        qsearch(cap_bound3, 19, cfg, Draws(9))
 
 
 def test_gas_single_customer():
@@ -294,6 +295,47 @@ def test_gas_traces_pinned_over_seeds(request, name, digest):
     for seed in range(200):
         h.update(json.dumps(gas_minimize(inst, GasConfig(rng_seed=seed)).trace_dict()).encode())
     assert h.hexdigest() == digest
+
+
+def test_gas_budget_path_pinned_over_seeds(example6):
+    """sha256 over seeds 0-49 x four oracle-call budgets, recording each
+    solve's cost or its budget message, frozen from the implementation that
+    drew through ``np.random.default_rng(seed)``. Most of these solves stop
+    at the budget, so the draws of every threshold before the stop count."""
+    h = hashlib.sha256()
+    for seed in range(50):
+        for budget in (1, 5, 50, 300):
+            try:
+                out = str(gas_minimize(example6, GasConfig(rng_seed=seed, max_oracle_calls=budget)).cost)
+            except BudgetExhaustedError as exc:
+                out = str(exc)
+            h.update(f"{seed} {budget} {out}\n".encode())
+    assert h.hexdigest() == "b18b91b6c14807276044c39c8a788e1e0bf37a241ee9d0006fbbeed7d7f8514a"
+
+
+# Bounds of every kind Draws.below meets: no draw (1), a power of two, the
+# example's marked count, and 2^31 + 1, where about half the draws are rejected.
+_DRAW_BOUNDS = (1, 2, 7, 6624, (1 << 31) + 1, (1 << 32) - 1)
+
+
+def test_draws_equal_default_rng():
+    """Interleaved below/random calls return exactly what a Generator on the
+    same seed returns, spare halves and rejected draws included."""
+    for seed in range(300):
+        ops = random.Random(seed)
+        draws, gen = Draws(seed), np.random.default_rng(seed)
+        for _ in range(400):
+            if ops.random() < 0.3:
+                assert draws.random() == gen.random()
+            else:
+                h = ops.choice(_DRAW_BOUNDS) if ops.random() < 0.7 else ops.randrange(1, 1 << 32)
+                assert draws.below(h) == gen.integers(0, h), (seed, h)
+
+
+@pytest.mark.parametrize("h", [0, -1, 1 << 32, 1 << 64])
+def test_draws_below_refuses_bounds_outside_32_bits(h):
+    with pytest.raises(ValueError, match=r"^below needs 1 <= h < 2\*\*32 = 4294967296, got "):
+        Draws(0).below(h)
 
 
 def test_gas_trials_are_untracked_tuples(example6):
