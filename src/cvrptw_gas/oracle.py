@@ -37,7 +37,12 @@ input unchanged, and the layout with it:
 * the first cost leg is XORed into the still-zero cost register, and at each
   later position the return and the direct leg leaving the previous customer
   share one pool value and one adder, since exactly one of them applies;
-* each cost adder runs only over the bits of the running bound on the cost.
+* each cost adder, and the final ``cost < k`` comparator, runs only over the
+  bits of the running bound on the cost;
+* each adder is given the bits its pool value can hold (the OR of the
+  encoded table, of both tables for the shared exit leg, all ones for a
+  copied register), and emits no MAJ/UMA gate whose controls cannot all be
+  1.
 
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
@@ -49,7 +54,9 @@ is itself tested index by index against ``mark_predicate``.
 
 from __future__ import annotations
 
+import functools
 import gc
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,16 +191,29 @@ def _customer_table(layout: OracleLayout, value) -> list[int]:
     return table
 
 
+def _table_bits(entries) -> int:
+    """Every bit any of ``entries`` sets: the addend mask of an encoder that
+    writes one of them."""
+    return functools.reduce(operator.or_, entries, 0)
+
+
 def _add_through_pool(
-    c: Circuit, layout: OracleLayout, value: Circuit, target: RegisterRef, carry_out: int | None = None
+    c: Circuit,
+    layout: OracleLayout,
+    value: Circuit,
+    target: RegisterRef,
+    addend_bits: int,
+    carry_out: int | None = None,
 ) -> None:
     """``target += value`` through the shared pool: ``value`` XORs a number
-    into the low ``target.width`` pool bits, the ripple-carry adder adds them
-    with the next pool qubit as its carry seed, and ``value`` runs again to
-    clear the pool (XOR writes are their own inverse)."""
+    with no set bit outside ``addend_bits`` into the low ``target.width``
+    pool bits, the ripple-carry adder adds them with the next pool qubit as
+    its carry seed, and ``value`` runs again to clear the pool (XOR writes
+    are their own inverse)."""
     w = target.width
     c.extend(value)
-    c.extend(build_adder(layout.pool.slice(0, w), target, layout.pool.slice(w, 1), carry_out=carry_out))
+    pool = layout.pool
+    c.extend(build_adder(pool.slice(0, w), target, pool.slice(w, 1), addend_bits=addend_bits, carry_out=carry_out))
     c.extend(value)
 
 
@@ -240,7 +260,7 @@ def build_capacity_chain(layout: OracleLayout) -> Circuit:
             previous = layout.empty_circuit()
             for j in range(w):
                 previous.ccx(carry_on, (layout.load[i - 1].qubit(j), True), layout.pool.qubit(j))
-            _add_through_pool(c, layout, previous, layout.load[i], carry_out=layout.load_overflow.qubit(i - 1))
+            _add_through_pool(c, layout, previous, layout.load[i], (1 << w) - 1, layout.load_overflow.qubit(i - 1))
         c.extend(build_leq_const(layout.load[i], inst.c_max, layout.load_ok.qubit(i), layout.pool.slice(0, w + 1)))
     return c
 
@@ -269,6 +289,7 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     opening = _customer_table(layout, lambda v: inst.windows[v][0])
     closing = _customer_table(layout, lambda v: inst.windows[v][1])
     open_to_close = [a ^ b for a, b in zip(opening, closing)]
+    leg_bits = _table_bits(inst.T[u][v] for u in inst.customers for v in inst.customers if u != v)
     window = layout.pool.slice(0, w)
     seed = layout.pool.slice(w, 1)
     for i in range(n):
@@ -288,7 +309,7 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 layout.pool.slice(0, w),
                 controls=[carry_on],
             )
-            _add_through_pool(c, layout, leg, layout.clock[i], carry_out=layout.clock_overflow.qubit(i - 1))
+            _add_through_pool(c, layout, leg, layout.clock[i], leg_bits, layout.clock_overflow.qubit(i - 1))
         c.extend(build_conditional_encoder(layout.tour[i], opening, window))
         c.extend(
             build_max_with_register(
@@ -333,8 +354,8 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     closes the tour. Every adder runs over just the bits of its running
     bound, the sum of the maxima of the tables added so far. No assignment,
     malformed ones included, can exceed that bound, so the higher cost bits
-    stay zero and the next pool qubit seeds the carry. The full register is
-    sized so no assignment can wrap it.
+    stay zero and the next pool qubit seeds the carry; the comparator reads
+    the same bits. The full register is sized so no assignment can wrap it.
     """
     inst = layout.inst
     n = inst.n
@@ -343,23 +364,25 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     value = layout.pool.slice(0, w)
     to_first = _customer_table(layout, lambda v: inst.D[0][v])
     back_home = _customer_table(layout, lambda v: inst.D[v][0])
-    direct = max((inst.D[u][v] for u in inst.customers for v in inst.customers if u != v), default=0)
+    direct = [inst.D[u][v] for u in inst.customers for v in inst.customers if u != v]
     c.extend(build_conditional_encoder(layout.tour[0], to_first, layout.cost))
     bound = max(to_first)
 
-    def add_encoded(encoder: Circuit, table_max: int) -> None:
+    def add_encoded(encoder: Circuit, entries: list[int]) -> None:
         nonlocal bound
-        bound += table_max
-        _add_through_pool(c, layout, encoder, layout.cost.slice(0, bits_for(bound)))
+        bound += max(entries)
+        _add_through_pool(c, layout, encoder, layout.cost.slice(0, bits_for(bound)), _table_bits(entries))
 
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)
-        add_encoded(build_exit_leg_encoder(layout, i, value), max(max(back_home), direct))
-        add_encoded(build_conditional_encoder(layout.tour[i], to_first, value, controls=[restart]), max(to_first))
-    add_encoded(build_conditional_encoder(layout.tour[n - 1], back_home, value), max(back_home))
-    # Any threshold above the register range marks every cost.
-    k_eff = min(layout.k, 1 << w)
-    c.extend(build_lt_const(layout.cost, k_eff, layout.cost_ok, layout.pool.slice(0, w + 1)))
+        add_encoded(build_exit_leg_encoder(layout, i, value), back_home + direct)
+        add_encoded(build_conditional_encoder(layout.tour[i], to_first, value, controls=[restart]), to_first)
+    add_encoded(build_conditional_encoder(layout.tour[n - 1], back_home, value), back_home)
+    # The cost never passes the bound, so the comparator reads only its
+    # bits; a threshold above them marks every cost.
+    cost = layout.cost.slice(0, bits_for(bound))
+    k_eff = min(layout.k, 1 << cost.width)
+    c.extend(build_lt_const(cost, k_eff, layout.cost_ok, layout.pool.slice(0, cost.width + 1)))
     return c
 
 

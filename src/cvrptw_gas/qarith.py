@@ -9,6 +9,14 @@ wider host circuit (:meth:`Circuit.extend`) and mirrored for uncomputation.
 The ``qubit_count=`` keyword only widens a block that is evaluated on its
 own; builders never pass a host's width to each other.
 
+The ripple blocks take one value-range input: the bits their addend can
+hold. For ``build_adder`` the caller passes it as ``addend_bits`` (all ones
+for a register); a constant adder or comparator takes the constant it
+images. From that mask each block works out which carries can be 1 (those
+above the lowest settable addend bit, since the seed is clean) and emits a
+MAJ/UMA gate only when all its controls can be 1. A mask that misses a bit
+the addend can hold breaks the sum.
+
 Ancilla conventions (widths the caller must provide, all returned to zero
 unless noted):
 
@@ -37,23 +45,44 @@ def _blank(qubit_count: int | None, *refs: RegisterRef | int) -> Circuit:
     return Circuit(qubit_count=max(qubit_count or 0, top))
 
 
-def _maj(c: Circuit, x: int, y: int, z: int) -> None:
-    c.cx(z, y)
-    c.cx(z, x)
-    c.ccx(x, y, z)
+def _maj(c: Circuit, x: int, y: int, z: int, carry: bool, addend: bool) -> None:
+    """MAJ of carry ``x``, free bit ``y`` and addend bit ``z``; ``carry`` and
+    ``addend`` say whether ``x`` and ``z`` can be 1, and a gate is emitted
+    only when all its controls can be."""
+    if addend:
+        c.cx(z, y)
+        c.cx(z, x)
+    if carry or addend:
+        c.ccx(x, y, z)
 
 
-def _uma(c: Circuit, x: int, y: int, z: int) -> None:
-    c.ccx(x, y, z)
-    c.cx(z, x)
-    c.cx(x, y)
+def _uma(c: Circuit, x: int, y: int, z: int, carry: bool, addend: bool) -> None:
+    """Undo :func:`_maj` and write the sum bit into ``y``, by the same rule."""
+    if carry or addend:
+        c.ccx(x, y, z)
+    if addend:
+        c.cx(z, x)
+    if carry:
+        c.cx(x, y)
 
 
-def _maj_chain(c: Circuit, seed: int, carry_reg: RegisterRef, other: RegisterRef) -> None:
-    """Ripple the carry of ``carry_reg + other`` into the top wire of carry_reg."""
-    _maj(c, seed, other.qubit(0), carry_reg.qubit(0))
-    for i in range(1, carry_reg.width):
-        _maj(c, carry_reg.qubit(i - 1), other.qubit(i), carry_reg.qubit(i))
+def _rungs(seed: int, carry_reg: RegisterRef, other: RegisterRef, bits: int):
+    """The MAJ/UMA arguments of each bit of ``carry_reg + other``, low bit
+    first, where ``carry_reg`` has no set bit outside ``bits``: the wire of
+    the carry in (the seed, then the bit below), the two operand bits, and
+    whether the carry and the addend bit can be 1. The seed is clean and
+    ``other`` is free, so a carry can rise exactly above an addend bit that
+    can be set."""
+    for i in range(carry_reg.width):
+        x = seed if i == 0 else carry_reg.qubit(i - 1)
+        yield x, other.qubit(i), carry_reg.qubit(i), bits % (1 << i) != 0, bool(bits >> i & 1)
+
+
+def _maj_chain(c: Circuit, seed: int, carry_reg: RegisterRef, other: RegisterRef, bits: int) -> None:
+    """Ripple the carry of ``carry_reg + other`` into the top wire of
+    carry_reg, whose set bits all lie in ``bits``."""
+    for rung in _rungs(seed, carry_reg, other, bits):
+        _maj(c, *rung)
 
 
 def build_adder(
@@ -61,6 +90,7 @@ def build_adder(
     b: RegisterRef,
     ancilla: RegisterRef,
     *,
+    addend_bits: int | None = None,
     carry_out: int | None = None,
     qubit_count: int | None = None,
 ) -> Circuit:
@@ -69,18 +99,28 @@ def build_adder(
     ``ancilla`` supplies the carry seed (1 qubit, returned to zero). When
     ``carry_out`` is given, that qubit is XORed with the final carry, turning
     the modular sum into an exact two-part result.
+
+    ``addend_bits`` holds every bit ``a`` can have set (all of them when
+    None, as for a register). A gate is emitted only when all its controls
+    can be 1: MAJ/UMA wires of an addend bit that is always 0 are skipped,
+    and so are carries below the lowest bit that can be set. The sum is
+    exact only for addends inside the mask: a mask that misses a bit ``a``
+    can hold breaks it.
     """
     if a.width != b.width:
         raise CircuitError("adder operands must have equal widths")
+    full = (1 << a.width) - 1
+    bits = full if addend_bits is None else addend_bits
+    if not 0 <= bits <= full:
+        raise CircuitError(f"addend bits {bits} do not fit {a.width} bits")
     extra = [carry_out] if carry_out is not None else []
     c = _blank(qubit_count, a, b, ancilla, *extra)
     seed = ancilla.qubit(0)
-    _maj_chain(c, seed, a, b)
-    if carry_out is not None:
+    _maj_chain(c, seed, a, b, bits)
+    if carry_out is not None and bits:
         c.cx(a.qubit(a.width - 1), carry_out)
-    for i in range(a.width - 1, 0, -1):
-        _uma(c, a.qubit(i - 1), b.qubit(i), a.qubit(i))
-    _uma(c, seed, b.qubit(0), a.qubit(0))
+    for rung in reversed(list(_rungs(seed, a, b, bits))):
+        _uma(c, *rung)
     return c
 
 
@@ -111,15 +151,16 @@ def build_add_const(
         return c
     image = ancilla.slice(0, b.width)
     _load_const(c, image, k)
-    c.extend(build_adder(image, b, ancilla.slice(b.width, 1)))
+    c.extend(build_adder(image, b, ancilla.slice(b.width, 1), addend_bits=k))
     _load_const(c, image, k)
     return c
 
 
-def _carry_flag(c: Circuit, carry_reg: RegisterRef, other: RegisterRef, seed: int, flag: int) -> None:
-    """flag ^= carry-out of ``carry_reg + other``; both registers restored."""
+def _carry_flag(c: Circuit, carry_reg: RegisterRef, other: RegisterRef, seed: int, flag: int, bits: int) -> None:
+    """flag ^= carry-out of ``carry_reg + other``; both registers restored.
+    ``carry_reg`` has no set bit outside ``bits``, which is nonzero."""
     chain = _blank(None, carry_reg, other, seed)
-    _maj_chain(chain, seed, carry_reg, other)
+    _maj_chain(chain, seed, carry_reg, other, bits)
     c.extend(chain)
     c.cx(carry_reg.qubit(carry_reg.width - 1), flag)
     c.extend(inverse(chain))
@@ -151,7 +192,7 @@ def build_leq_const(
         raise CircuitError("comparator needs width + 1 ancilla qubits")
     image = ancilla.slice(0, w)
     _load_const(c, image, m)
-    _carry_flag(c, image, a, ancilla.qubit(w), flag)
+    _carry_flag(c, image, a, ancilla.qubit(w), flag, m)
     _load_const(c, image, m)
     c.x(flag)
     return c
@@ -191,7 +232,7 @@ def build_lt_register(
     c = _blank(qubit_count, a, b, seed, flag)
     for qb in a.qubits():
         c.x(qb)
-    _carry_flag(c, a, b, seed.qubit(0), flag)
+    _carry_flag(c, a, b, seed.qubit(0), flag, (1 << a.width) - 1)
     for qb in a.qubits():
         c.x(qb)
     return c

@@ -1,4 +1,5 @@
-"""Closed-form qubit and gate budgets, register-width policy, and plot data.
+"""Closed-form qubit and gate budgets, register-width policy, plot data, and
+the Toffoli count of a built circuit.
 
 Two conventions are reported side by side and never mixed:
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
+from .circuit import Circuit, count_resources
 from .instance import Instance, bits_for
 
 # Qubit count quoted elsewhere for the bundled six-customer example. Its
@@ -155,6 +157,18 @@ def gate_budget(n: int, d_max: int) -> GateBudget:
         time=2 * n * n * ld + 24 * n * ld,
         cost=n**3 * ln + 6 * n * ln,
     )
+
+
+def toffoli_cost(c: Circuit) -> int:
+    """Toffoli count of ``c``, by the standard ladder (Barenco et al.,
+    quant-ph/9503016): an MCX with w >= 3 controls computes the AND of its
+    controls into w - 2 clean ancillas with w - 2 Toffolis, fires the
+    target with one more and uncomputes with w - 2, so it costs 2w - 3. A
+    Toffoli (w = 2) costs 1, and X, CX and H cost 0. Negative controls are
+    X conjugations and cost nothing. The w - 2 ancillas are assumed clean
+    (zero before and after) and are not part of the qubit budget; with
+    dirty ones the ladder costs 4(w - 2) (Barenco et al., Lemma 7.2)."""
+    return sum((2 * w - 3) * n for w, n in count_resources(c).mcx_by_arity.items() if w >= 2)
 
 
 def emit_plot_data(n_range: range, d_max: int, t_max: int, w_max: int) -> list[tuple[int, float, int]]:

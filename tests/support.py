@@ -1,4 +1,5 @@
-"""Instance builders and the scalar mark table shared by the test modules.
+"""Instance builders, the scalar mark table and a gate fire counter shared by
+the test modules.
 
 They live outside ``conftest.py`` so that a test module imports them by a
 name no other test directory defines: ``bench/`` has a ``conftest.py`` of its
@@ -58,3 +59,22 @@ def random_instance(rng, n, with_windows):
             windows.append([earliest, D[0][i] + rng.randint(2, 25)])
         doc["windows"] = windows
     return make_instance(doc)
+
+
+def count_fires(circuit, columns, count):
+    """Run an H-free ``circuit`` over ``count`` basis states given as bit
+    columns, as ``eval_basis_batch`` takes them, one gate at a time. Returns
+    the output columns and, per gate, the number of states on which it
+    flipped its target; a gate that fires on none is one an exhaustive scan
+    cannot tell from the identity."""
+    full = (1 << count) - 1
+    cols = list(columns)
+    fires = []
+    for kind, target, controls in circuit.gates:
+        assert kind == "mcx", "the fire counter handles permutation gates only"
+        acc = full
+        for q, pol in controls:
+            acc &= cols[q] if pol else ~cols[q]
+        fires.append(acc.bit_count())
+        cols[target] ^= acc
+    return cols, fires

@@ -36,9 +36,9 @@ from cvrptw_gas.oracle import (
     mark_predicate,
 )
 from cvrptw_gas.qarith import build_adder
-from cvrptw_gas.resources import register_widths
+from cvrptw_gas.resources import register_widths, toffoli_cost
 
-from support import binding_instance, make_instance, predicate_marks
+from support import binding_instance, count_fires, make_instance, predicate_marks
 
 
 def run_block_on(layout, block, P, y):
@@ -394,24 +394,32 @@ def test_exit_leg_encoder_writes_one_table(mixed4):
 
 
 def test_example_oracle_structure(example6):
-    """Gate counts of the paper's example at its optimum + 1, frozen: the
-    vacuous windows leave six X gates in the time chain, and the cost chain
-    runs 11 trimmed adders."""
+    """Gate, control and Toffoli counts of the paper's example at its
+    optimum + 1, frozen: the vacuous windows leave six X gates in the time
+    chain, the cost chain runs 11 trimmed adders, and the ripple blocks emit
+    only gates whose controls can all be 1."""
     layout = build_layout(example6, 182)
     builders = (build_uniqueness, build_capacity_chain, build_time_chain, build_cost_accumulator)
-    chains = [len(b(layout).gates) for b in builders]
-    assert chains == [247, 311, 6, 1904]
+    chains = [b(layout) for b in builders]
+    assert [len(c.gates) for c in chains] == [247, 246, 6, 1767]
+    assert [toffoli_cost(c) for c in chains] == [192, 246, 0, 11400]
     built = build_oracle(example6, 182)
-    assert len(built.gates) == 2 * sum(chains) + 1 == 4937
+    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4533
     assert built.qubit_count == layout.qubit_count == 223
-    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 18401
+    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 17969
+    # The mark gate has 25 controls: 2 * 25 - 3 Toffolis.
+    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 47 == 23723
 
 
 @pytest.mark.parametrize(
     "name,k,gates,digest",
     [
-        ("example6", 182, 4937, "b50f58a89d99d53a3d08afa10c367d90cae755a544c21a71090846e6301513fd"),
-        ("mixed4", 35, 3103, "646eb43b856923fa7dd7c889390db08bcbf469adf005251f3608ce172cdb6dbe"),
+        pytest.param(
+            "example6", 182, 4533, "71f31b6acbf33f20a9f1892c7bc2c48f453486619a22136f30c7aaec977186d1", id="example6-182"
+        ),
+        pytest.param(
+            "mixed4", 35, 2933, "05eeef97baf5005e19a5c2b9359d9513c9658fa330ee13db2c730ff652f45a04", id="mixed4-35"
+        ),
     ],
 )
 def test_oracle_dump_pinned(name, k, gates, digest, request):
@@ -421,6 +429,37 @@ def test_oracle_dump_pinned(name, k, gates, digest, request):
     built = build_oracle(request.getfixturevalue(name), k)
     assert len(built.gates) == gates
     assert hashlib.sha256(built.dump().encode()).hexdigest() == digest
+
+
+# Gates of the oracle that fire on no input, at k = 0, opt + 1 and 10^6. The
+# value-range model bounds only the addend of each ripple block; these gates
+# need the range of the other operand too: the first load, copied into the
+# pool as a whole register; the load, clock and cost registers, whose high
+# bits stay zero below their bounds; and the clock chain's max steps, which
+# depend on how the windows fall.
+NEVER_FIRED = {
+    "windowed_pair": [143, 146, 142],
+    "cap_bound3": [23, 22, 22],
+    "window_bound3": [151, 150, 150],
+    "mixed4": [167, 166, 166],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEVER_FIRED))
+def test_never_fired_gates_pinned(name, request):
+    """Every decision assignment runs through the oracle with each gate's
+    fires counted; the counter's output must equal the batch evaluator's."""
+    inst = request.getfixturevalue(name)
+    _, _, opt = brute_force_optimum(inst)
+    bits = search_space(inst).decision_bits
+    never = []
+    for k in (0, opt + 1, 10**6):
+        built = build_oracle(inst, k)
+        columns = enumeration_columns(bits) + [0] * (built.qubit_count - bits)
+        out, fires = count_fires(built, columns, 1 << bits)
+        assert out == eval_basis_batch(built, columns, 1 << bits)
+        never.append(fires.count(0))
+    assert never == NEVER_FIRED[name]
 
 
 def test_mark_predicate_example_values(example6):

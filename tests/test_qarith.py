@@ -4,6 +4,7 @@ Each builder runs over every operand value via the bit-sliced evaluator; the
 expected values come straight from Python integer arithmetic.
 """
 
+import operator
 import random
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from cvrptw_gas.circuit import (
     Circuit,
     CircuitError,
+    columns_from_indices,
     count_resources,
     enumeration_columns,
     eval_basis_batch,
+    eval_basis_int,
     inverse,
     register_values,
 )
@@ -32,6 +35,8 @@ from cvrptw_gas.qarith import (
     build_pair_neq,
 )
 from cvrptw_gas.resources import register_widths
+
+from support import count_fires
 
 
 def run_exhaustive(host: Circuit, block: Circuit, input_bits: int):
@@ -56,6 +61,43 @@ def test_adder_exhaustive(width):
     assert (register_values(out, b, count) == (a_in + b_in) % (1 << width)).all()
     assert (register_values(out, z, count) == (a_in + b_in) // (1 << width)).all()
     assert (register_values(out, anc, count) == 0).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_adder_within_its_addend_bits_is_exact_and_tight(width):
+    """Every addend mask, with and without a carry out, over every addend
+    inside the mask and every target: the sum, the carry, the restored
+    addend and the clean seed are exact, and every gate the mask lets
+    through fires on at least one of those inputs."""
+    full = (1 << width) - 1
+    for bits in range(1 << width):
+        addends = [x for x in range(1 << width) if x & ~bits == 0]
+        states = [x | y << width for x in addends for y in range(1 << width)]
+        for carry in (False, True):
+            host = Circuit()
+            a = host.add_register("a", width)
+            b = host.add_register("b", width)
+            seed = host.add_register("seed", 1)
+            z = host.add_register("z", 1)
+            carry_out = z.qubit(0) if carry else None
+            block = build_adder(a, b, seed, addend_bits=bits, carry_out=carry_out, qubit_count=host.qubit_count)
+            for s in states:
+                x, y = s & full, s >> width
+                total = x + y
+                expect = x | (total & full) << b.start | (total >> width if carry else 0) << z.start
+                assert eval_basis_int(block, s) == expect, (width, bits, carry, x, y)
+            _, fires = count_fires(block, columns_from_indices(np.array(states), host.qubit_count), len(states))
+            assert all(fires), (width, bits, carry)
+
+
+def test_adder_refuses_addend_bits_outside_its_width():
+    host = Circuit()
+    a = host.add_register("a", 3)
+    b = host.add_register("b", 3)
+    anc = host.add_register("anc", 1)
+    for bits in (-1, 8):
+        with pytest.raises(CircuitError, match="do not fit 3 bits"):
+            build_adder(a, b, anc, addend_bits=bits)
 
 
 def test_adder_small_cases():
@@ -122,6 +164,24 @@ def test_leq_and_lt_const_exhaustive(width):
             assert (register_values(out, flag, count) == op(idx, k)).all(), (build.__name__, width, k)
             assert (register_values(out, a, count) == idx).all(), "operand modified"
             assert (register_values(out, anc, count) == 0).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_const_comparators_emit_only_gates_that_fire(width):
+    """Every constant: each register value maps to itself with the flag set
+    exactly when the comparison holds and the ancillas clean, and every
+    emitted gate fires on at least one value."""
+    for k in range(1 << width):
+        for build, op in ((build_leq_const, operator.le), (build_lt_const, operator.lt)):
+            host = Circuit()
+            a = host.add_register("a", width)
+            anc = host.add_register("anc", width + 1)
+            flag = host.add_register("flag", 1)
+            block = build(a, k, flag.qubit(0), anc, qubit_count=host.qubit_count)
+            for v in range(1 << width):
+                assert eval_basis_int(block, v) == v | op(v, k) << flag.start, (build.__name__, width, k, v)
+            _, fires = count_fires(block, enumeration_columns(width) + [0] * (width + 2), 1 << width)
+            assert all(fires), (build.__name__, width, k)
 
 
 def test_lt_const_exhaustive_at_cost_width(example6):

@@ -1,7 +1,9 @@
-"""Width policy, qubit budgets vs the real layout, and the plot expression."""
+"""Width policy, qubit budgets vs the real layout, the plot expression, and
+the Toffoli count."""
 
 import pytest
 
+from cvrptw_gas.circuit import Circuit
 from cvrptw_gas.oracle import build_layout
 from cvrptw_gas.resources import (
     QUOTED_SIX_CUSTOMER_QUBITS,
@@ -13,6 +15,7 @@ from cvrptw_gas.resources import (
     plot_csv,
     qubit_budget,
     register_widths,
+    toffoli_cost,
 )
 
 from support import make_instance
@@ -133,6 +136,25 @@ def test_measured_mcx_within_fitted_envelope():
         envelope = gb.all_different + gb.capacity + gb.time + gb.cost
         assert measured <= 3.5 * envelope, (n, measured, envelope)
         assert measured >= envelope  # the envelope drops constant factors
+
+
+def test_toffoli_cost_at_each_arity():
+    """X, CX and H cost nothing, a Toffoli 1, and an MCX with w >= 3
+    controls, of either polarity, 2w - 3."""
+    c = Circuit(qubit_count=9)
+    assert toffoli_cost(c) == 0
+    c.x(0)
+    c.h(1)
+    c.cx(0, 1)
+    assert toffoli_cost(c) == 0
+    c.ccx(0, (1, False), 2)
+    assert toffoli_cost(c) == 1
+    for w in range(3, 9):
+        one = Circuit(qubit_count=9)
+        one.mcx([(q, q % 2 == 0) for q in range(w)], 8)
+        assert toffoli_cost(one) == 2 * w - 3
+        c.extend(one)
+    assert toffoli_cost(c) == 1 + sum(2 * w - 3 for w in range(3, 9))
 
 
 def test_plot_rows():
