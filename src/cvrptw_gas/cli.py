@@ -22,6 +22,9 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
+# Most indices one sampled scan draws. The draw holds every index at once, so
+# an unchecked count of 2^40 asks NumPy for 4 TiB in its first draw.
+SAMPLE_CAP = 1 << 20
 
 
 def _load_instance(path: str) -> Instance:
@@ -83,7 +86,10 @@ def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
     """``samples`` seeded assignment indices: the first half uniform over the
     whole decision space, the rest well-formed candidates (a customer
     permutation and interior split bits, final bit set). Indices are int64,
-    so a decision space past 63 bits is refused."""
+    so a decision space past 63 bits is refused, and so is a count past
+    :data:`SAMPLE_CAP`, before any draw."""
+    if samples > SAMPLE_CAP:
+        raise ValueError(f"{samples} samples exceed the cap of {SAMPLE_CAP}")
     n = inst.n
     b_node = resources.register_widths(inst).b_node
     bits = grover.search_space(inst).decision_bits
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=100_000,
-        help="sample mode: half uniform indices, half well-formed candidates",
+        help=f"sample mode: half uniform indices, half well-formed candidates; at most {SAMPLE_CAP}",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(run=_cmd_verify_oracle)

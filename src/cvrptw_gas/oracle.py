@@ -39,10 +39,9 @@ input unchanged, and the layout with it:
   share one pool value and one adder, since exactly one of them applies;
 * each cost adder, and the final ``cost < k`` comparator, runs only over the
   bits of the running bound on the cost;
-* each adder is given the bits its pool value can hold (the OR of the
-  encoded table, of both tables for the shared exit leg, all ones for a
-  copied register), and emits no MAJ/UMA gate whose controls cannot all be
-  1.
+* each adder is given the bits its pool value can hold, read off the
+  gates that write the value into the clean pool, and emits no MAJ/UMA
+  gate whose controls cannot all be 1.
 
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
@@ -54,9 +53,7 @@ is itself tested index by index against ``mark_predicate``.
 
 from __future__ import annotations
 
-import functools
 import gc
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +91,7 @@ _SCAN_CHUNK_BITS = 16
 
 
 class LayoutError(ValueError):
-    """Instance values do not fit the registers the width policy assigns."""
+    """A threshold the layout cannot take: a negative one."""
 
 
 @dataclass(frozen=True)
@@ -134,19 +131,11 @@ class OracleLayout:
 
 def build_layout(inst: Instance, k: int) -> OracleLayout:
     """Allocate every register; same instance and threshold give identical
-    indices. Raises :class:`LayoutError` when a travel time cannot be encoded
-    in the clock width implied by the windows."""
+    indices. Raises :class:`LayoutError` for a negative threshold."""
     if k < 0:
         raise LayoutError("threshold must be nonnegative")
     n = inst.n
     widths = register_widths(inst)
-    clock_limit = (1 << widths.w_time) - 1
-    worst_travel = inst.max_travel
-    if worst_travel > clock_limit:
-        raise LayoutError(
-            f"travel time {worst_travel} does not fit the {widths.w_time}-bit clock "
-            "implied by the delivery windows"
-        )
 
     alloc = Circuit()
     reg = alloc.add_register
@@ -191,29 +180,26 @@ def _customer_table(layout: OracleLayout, value) -> list[int]:
     return table
 
 
-def _table_bits(entries) -> int:
-    """Every bit any of ``entries`` sets: the addend mask of an encoder that
-    writes one of them."""
-    return functools.reduce(operator.or_, entries, 0)
-
-
 def _add_through_pool(
     c: Circuit,
     layout: OracleLayout,
     value: Circuit,
     target: RegisterRef,
-    addend_bits: int,
     carry_out: int | None = None,
 ) -> None:
     """``target += value`` through the shared pool: ``value`` XORs a number
-    with no set bit outside ``addend_bits`` into the low ``target.width``
-    pool bits, the ripple-carry adder adds them with the next pool qubit as
-    its carry seed, and ``value`` runs again to clear the pool (XOR writes
-    are their own inverse)."""
+    into the low ``target.width`` pool bits, the ripple-carry adder adds
+    them with the next pool qubit as its carry seed, and ``value`` runs
+    again to clear the pool (XOR writes are their own inverse). The pool is
+    clean before ``value`` runs, so the addend can set only the pool bits
+    some gate of ``value`` targets: those are the adder's mask, and a write
+    above the target's width is refused."""
     w = target.width
-    c.extend(value)
     pool = layout.pool
-    c.extend(build_adder(pool.slice(0, w), target, pool.slice(w, 1), addend_bits=addend_bits, carry_out=carry_out))
+    written = {gate.target for gate in value.gates}
+    bits = sum(1 << j for j, q in enumerate(pool.qubits()) if q in written)
+    c.extend(value)
+    c.extend(build_adder(pool.slice(0, w), target, pool.slice(w, 1), addend_bits=bits, carry_out=carry_out))
     c.extend(value)
 
 
@@ -260,7 +246,7 @@ def build_capacity_chain(layout: OracleLayout) -> Circuit:
             previous = layout.empty_circuit()
             for j in range(w):
                 previous.ccx(carry_on, (layout.load[i - 1].qubit(j), True), layout.pool.qubit(j))
-            _add_through_pool(c, layout, previous, layout.load[i], (1 << w) - 1, layout.load_overflow.qubit(i - 1))
+            _add_through_pool(c, layout, previous, layout.load[i], layout.load_overflow.qubit(i - 1))
         c.extend(build_leq_const(layout.load[i], inst.c_max, layout.load_ok.qubit(i), layout.pool.slice(0, w + 1)))
     return c
 
@@ -289,7 +275,6 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     opening = _customer_table(layout, lambda v: inst.windows[v][0])
     closing = _customer_table(layout, lambda v: inst.windows[v][1])
     open_to_close = [a ^ b for a, b in zip(opening, closing)]
-    leg_bits = _table_bits(inst.T[u][v] for u in inst.customers for v in inst.customers if u != v)
     window = layout.pool.slice(0, w)
     seed = layout.pool.slice(w, 1)
     for i in range(n):
@@ -309,7 +294,7 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
                 layout.pool.slice(0, w),
                 controls=[carry_on],
             )
-            _add_through_pool(c, layout, leg, layout.clock[i], leg_bits, layout.clock_overflow.qubit(i - 1))
+            _add_through_pool(c, layout, leg, layout.clock[i], layout.clock_overflow.qubit(i - 1))
         c.extend(build_conditional_encoder(layout.tour[i], opening, window))
         c.extend(
             build_max_with_register(
@@ -371,7 +356,7 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     def add_encoded(encoder: Circuit, entries: list[int]) -> None:
         nonlocal bound
         bound += max(entries)
-        _add_through_pool(c, layout, encoder, layout.cost.slice(0, bits_for(bound)), _table_bits(entries))
+        _add_through_pool(c, layout, encoder, layout.cost.slice(0, bits_for(bound)))
 
     for i in range(1, n):
         restart = (layout.split.qubit(i - 1), True)

@@ -11,11 +11,12 @@ own; builders never pass a host's width to each other.
 
 The ripple blocks take one value-range input: the bits their addend can
 hold. For ``build_adder`` the caller passes it as ``addend_bits`` (all ones
-for a register); a constant adder or comparator takes the constant it
-images. From that mask each block works out which carries can be 1 (those
-above the lowest settable addend bit, since the seed is clean) and emits a
-MAJ/UMA gate only when all its controls can be 1. A mask that misses a bit
-the addend can hold breaks the sum.
+for a register); the oracle reads it off the gates that write the addend
+into its clean scratch pool. A constant adder or comparator takes the
+constant it images. From that mask each block works out which carries can
+be 1 (those above the lowest settable addend bit, since the seed is clean)
+and emits a MAJ/UMA gate only when all its controls can be 1. A mask that
+misses a bit the addend can hold breaks the sum.
 
 Ancilla conventions (widths the caller must provide, all returned to zero
 unless noted):
@@ -78,13 +79,6 @@ def _rungs(seed: int, carry_reg: RegisterRef, other: RegisterRef, bits: int):
         yield x, other.qubit(i), carry_reg.qubit(i), bits % (1 << i) != 0, bool(bits >> i & 1)
 
 
-def _maj_chain(c: Circuit, seed: int, carry_reg: RegisterRef, other: RegisterRef, bits: int) -> None:
-    """Ripple the carry of ``carry_reg + other`` into the top wire of
-    carry_reg, whose set bits all lie in ``bits``."""
-    for rung in _rungs(seed, carry_reg, other, bits):
-        _maj(c, *rung)
-
-
 def build_adder(
     a: RegisterRef,
     b: RegisterRef,
@@ -101,11 +95,11 @@ def build_adder(
     the modular sum into an exact two-part result.
 
     ``addend_bits`` holds every bit ``a`` can have set (all of them when
-    None, as for a register). A gate is emitted only when all its controls
-    can be 1: MAJ/UMA wires of an addend bit that is always 0 are skipped,
-    and so are carries below the lowest bit that can be set. The sum is
-    exact only for addends inside the mask: a mask that misses a bit ``a``
-    can hold breaks it.
+    None, as for a register); the oracle passes the pool bits its encoder
+    writes. A gate is emitted only when all its controls can be 1: MAJ/UMA
+    wires of an addend bit that is always 0 are skipped, and so are carries
+    below the lowest bit that can be set. The sum is exact only for addends
+    inside the mask: a mask that misses a bit ``a`` can hold breaks it.
     """
     if a.width != b.width:
         raise CircuitError("adder operands must have equal widths")
@@ -115,11 +109,12 @@ def build_adder(
         raise CircuitError(f"addend bits {bits} do not fit {a.width} bits")
     extra = [carry_out] if carry_out is not None else []
     c = _blank(qubit_count, a, b, ancilla, *extra)
-    seed = ancilla.qubit(0)
-    _maj_chain(c, seed, a, b, bits)
+    rungs = list(_rungs(ancilla.qubit(0), a, b, bits))
+    for rung in rungs:
+        _maj(c, *rung)
     if carry_out is not None and bits:
         c.cx(a.qubit(a.width - 1), carry_out)
-    for rung in reversed(list(_rungs(seed, a, b, bits))):
+    for rung in reversed(rungs):
         _uma(c, *rung)
     return c
 
@@ -160,7 +155,8 @@ def _carry_flag(c: Circuit, carry_reg: RegisterRef, other: RegisterRef, seed: in
     """flag ^= carry-out of ``carry_reg + other``; both registers restored.
     ``carry_reg`` has no set bit outside ``bits``, which is nonzero."""
     chain = _blank(None, carry_reg, other, seed)
-    _maj_chain(chain, seed, carry_reg, other, bits)
+    for rung in _rungs(seed, carry_reg, other, bits):
+        _maj(chain, *rung)
     c.extend(chain)
     c.cx(carry_reg.qubit(carry_reg.width - 1), flag)
     c.extend(inverse(chain))

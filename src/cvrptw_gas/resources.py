@@ -44,20 +44,28 @@ def cost_upper_bound(inst: Instance) -> int:
 
 def max_window_close(inst: Instance) -> int:
     """Latest window close over the customers (the sentinel for defaulted
-    windows): the largest value the clock register must hold."""
+    windows): the largest time any window check compares against."""
     return max(b for _, b in inst.windows[1:])
+
+
+def max_clock_value(inst: Instance) -> int:
+    """The largest value the clock register and its pool slice must hold:
+    the latest window close or the longest travel time, whichever is
+    larger. A clock past the close is caught by the window check or the
+    adder's overflow flag, so it needs no wider register."""
+    return max(max_window_close(inst), inst.max_travel)
 
 
 def register_widths(inst: Instance) -> RegisterWidths:
     """Widths sized from the instance maxima.
 
-    The clock width comes from :func:`max_window_close`, the load width from
+    The clock width comes from :func:`max_clock_value`, the load width from
     the capacity, and the cost width from the 2n-leg bound.
     """
     return RegisterWidths(
         b_node=bits_for(inst.n),
         w_cap=bits_for(inst.c_max),
-        w_time=bits_for(max_window_close(inst)),
+        w_time=bits_for(max_clock_value(inst)),
         w_cost=bits_for(cost_upper_bound(inst)),
     )
 
@@ -115,7 +123,7 @@ def qubit_budget(n: int, d_max: int, t_max: int, w_max: int) -> QubitBudget:
 
 
 def instance_budget(inst: Instance) -> QubitBudget:
-    return qubit_budget(inst.n, inst.c_max, max_window_close(inst), cost_upper_bound(inst))
+    return qubit_budget(inst.n, inst.c_max, max_clock_value(inst), cost_upper_bound(inst))
 
 
 def figure_expression(n: int, d_max: int, t_max: int, w_max: int) -> float:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cvrptw_gas import oracle, resources
+from cvrptw_gas import cli, oracle, resources
 from cvrptw_gas.cli import main, sample_indices
 from cvrptw_gas.grover import search_space
 from cvrptw_gas.instance import pack_assignment, serialize_instance, unpack_assignment
@@ -291,11 +291,13 @@ def test_verify_oracle_help_names_the_scan_limits(capsys, monkeypatch):
     """The parser is built per call, so its help reads the current limits."""
     monkeypatch.setattr(oracle, "EXHAUSTIVE_SCAN_CAP_BITS", 31)
     monkeypatch.setattr(oracle, "_SCAN_CHUNK_BITS", 13)
+    monkeypatch.setattr(cli, "SAMPLE_CAP", 77)
     code, out, _ = run_cli(capsys, "verify-oracle", "--help")
     assert code == 0
     text = " ".join(out.split())  # argparse rewraps to the terminal width
     assert "up to 31 decision bits" in text
     assert "in chunks of 2^13," in text
+    assert "candidates; at most 77" in text
 
 
 def test_budget_exit_code(capsys, example_path):
@@ -367,6 +369,31 @@ def test_verify_oracle_rejects_nonpositive_samples(capsys, small_path, samples):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+def test_verify_oracle_samples_cap(capsys, small_path, monkeypatch):
+    """The cap runs; one past it exits 2 naming both numbers, before any
+    draw. The cap is patched small to keep the run short."""
+    monkeypatch.setattr(cli, "SAMPLE_CAP", 64)
+    argv = ("verify-oracle", small_path, "--k", "19", "--mode", "sample", "--samples")
+    code, out, _ = run_cli(capsys, *argv, "64")
+    assert code == 0
+    assert json.loads(out)["assignments_checked"] == 64
+    code, out, err = run_cli(capsys, *argv, "65")
+    assert code == 2
+    assert out == ""
+    assert "error: 65 samples exceed the cap of 64" in err
+
+
+@pytest.mark.parametrize("samples", [1 << 20 | 1, 1 << 40, 10**400])
+def test_verify_oracle_refuses_samples_past_the_cap(capsys, small_path, samples):
+    """Counts that would ask NumPy for terabytes, or past its largest
+    dimension, exit 2 naming the cap rather than failing inside the draw."""
+    argv = ("verify-oracle", small_path, "--k", "19", "--mode", "sample", "--samples", str(samples))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{samples} samples exceed the cap of {1 << 20}" in err
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])

@@ -3,15 +3,16 @@
 Each case mutates README's two-customer document or the bundled example and
 runs it through ``cli.main`` in process: keys are dropped, repeated, renamed
 and retyped, arrays nested, rows shortened and lengthened, values replaced
-by 0, -1, 2^63, 10^400, booleans, 1.5, NaN and strings, and bytes that are
-not UTF-8 written into the text. The argv cases replace, drop and repeat the
+by 0, -1, 100, 2^63, 10^400, booleans, 1.5, NaN and strings, and bytes that
+are not UTF-8 written into the text. The argv cases replace, drop and repeat the
 words of valid command lines. The invariant, on every case:
 
 * the exit code is 0, 2, 3 or 4, and no exception escapes ``main``;
 * an exit 2 writes nothing to stdout and exactly one ``error:`` line to
   stderr;
 * every text that ``parse_instance`` accepts also passes ``resources
-  --instance``.
+  --instance``, and, when ``grover.check_sweep_range`` accepts its
+  instance, the exhaustive ``verify-oracle`` of a two-customer one.
 
 Only the standard library's ``random`` drives it, over fixed seeds, so a
 failing case replays exactly.
@@ -25,6 +26,7 @@ import random
 import pytest
 
 from cvrptw_gas.cli import main
+from cvrptw_gas.grover import check_sweep_range
 from cvrptw_gas.instance import InstanceError, parse_instance, serialize_instance, six_customer_example
 
 TWO_CUSTOMER = {
@@ -36,7 +38,8 @@ TWO_CUSTOMER = {
     "windows": [[0, 10], [3, 12]],
 }
 EXAMPLE = json.loads(serialize_instance(six_customer_example()))
-ODD_INTEGERS = (0, -1, 2**63, 10**400)
+# 100 as a travel time outlasts every window close of both base documents.
+ODD_INTEGERS = (0, -1, 100, 2**63, 10**400)
 ODD_VALUES = ODD_INTEGERS + (True, False, 1.5, math.nan, "7")
 ODD_KEYS = ("N", "window", "demand", "", "distance ", "c-max", "0")
 BAD_UTF8 = (b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80", b"\xf0\x28\x8c")
@@ -200,6 +203,25 @@ def mutated_argv(rng, path: str) -> list[str]:
     return argv
 
 
+def must_pass(raw: bytes, argv) -> bool:
+    """Whether ``argv`` on the document ``raw`` has to exit 0: ``resources``
+    on any text ``parse_instance`` accepts, and an exhaustive scan whose
+    instance the reference sweep also accepts."""
+    try:
+        inst = parse_instance(raw.decode("utf-8"))
+    except (UnicodeDecodeError, InstanceError):
+        return False
+    if argv[0] == "resources":
+        return True
+    if argv[0] != "verify-oracle" or "--mode" in argv:
+        return False
+    try:
+        check_sweep_range(inst)
+    except ValueError:
+        return False
+    return True
+
+
 def check_run(capsys, argv) -> int:
     """Run one command line in process and check the invariant's first two parts."""
     code = main(argv)
@@ -220,12 +242,8 @@ def test_fuzz_documents(capsys, tmp_path, seed):
         path.write_bytes(raw)
         for argv in document_commands(rng, str(path), small):
             code = check_run(capsys, argv)
-            if argv[0] == "resources":
-                try:
-                    parse_instance(raw.decode("utf-8"))
-                except (UnicodeDecodeError, InstanceError):
-                    continue
-                assert code == 0, raw[:200]
+            if must_pass(raw, argv):
+                assert code == 0, (argv[0], raw[:200])
 
 
 @pytest.mark.parametrize("seed", range(2))

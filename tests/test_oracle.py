@@ -11,7 +11,7 @@ import pytest
 
 from cvrptw_gas import oracle
 from cvrptw_gas.classical import brute_force_optimum
-from cvrptw_gas.cli import sample_indices
+from cvrptw_gas.cli import main, sample_indices
 from cvrptw_gas.circuit import (
     Gate,
     count_resources,
@@ -22,7 +22,7 @@ from cvrptw_gas.circuit import (
     register_values,
 )
 from cvrptw_gas.grover import feasible_table, reference_marks, search_space
-from cvrptw_gas.instance import pack_assignment, unpack_assignment
+from cvrptw_gas.instance import bits_for, pack_assignment, serialize_instance, unpack_assignment
 from cvrptw_gas.oracle import (
     LayoutError,
     build_capacity_chain,
@@ -36,9 +36,9 @@ from cvrptw_gas.oracle import (
     mark_predicate,
 )
 from cvrptw_gas.qarith import build_adder
-from cvrptw_gas.resources import register_widths, toffoli_cost
+from cvrptw_gas.resources import instance_budget, max_window_close, register_widths, toffoli_cost
 
-from support import binding_instance, count_fires, make_instance, predicate_marks
+from support import binding_instance, count_fires, make_instance, predicate_marks, random_instance
 
 
 def run_block_on(layout, block, P, y):
@@ -186,8 +186,11 @@ def test_layout_register_table_pinned(name, request):
     )
 
 
-def test_layout_rejects_oversized_travel_time():
-    inst = make_instance(
+# A leg of 50 against windows closing at 8, and a random document whose return
+# leg of 4 outlasts its window close of 3: each travel time needs more clock
+# bits than the latest close.
+TRAVEL_PAST_CLOSE = {
+    "travel50": lambda: make_instance(
         {
             "n": 2,
             "c_max": 2,
@@ -196,9 +199,29 @@ def test_layout_rejects_oversized_travel_time():
             "demands": [1, 1],
             "windows": [[0, 8], [0, 8]],
         }
-    )
-    with pytest.raises(LayoutError, match="travel time"):
-        build_layout(inst, 5)
+    ),
+    "random200": lambda: random_instance(random.Random(200), 1, True),
+}
+
+
+@pytest.mark.parametrize("name", TRAVEL_PAST_CLOSE)
+def test_clock_holds_travel_time_past_latest_close(name, tmp_path, capsys):
+    """The clock is sized for its longest travel time too, so a document
+    whose travel outlasts every window close builds, budgets and verifies;
+    only a negative threshold is refused."""
+    inst = TRAVEL_PAST_CLOSE[name]()
+    assert bits_for(inst.max_travel) > bits_for(max_window_close(inst))
+    with pytest.raises(LayoutError, match="nonnegative"):
+        build_layout(inst, -1)
+    for k in (0, 6, 10**6):
+        layout = build_layout(inst, k)
+        assert layout.widths.w_time == bits_for(inst.max_travel)
+        assert instance_budget(inst).total == layout.qubit_count
+        assert equivalence_scan(inst, k).clean, k
+    path = tmp_path / "doc.json"
+    path.write_text(serialize_instance(inst))
+    assert main(["verify-oracle", str(path), "--k", "6"]) == 0
+    assert '"mismatches": 0' in capsys.readouterr().out
 
 
 def test_uniqueness_block(vacuous3):
