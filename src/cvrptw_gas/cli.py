@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import classical, grover, oracle, resources
-from .instance import Instance, InstanceError, decode_assignment, parse_instance
+from .instance import Instance, InstanceError, decode_assignment, parse_instance, quote
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -54,7 +54,7 @@ def _check_minimums(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < least:
             bound = "nonnegative" if least == 0 else f"at least {least}"
-            raise InstanceError(f"--{name} must be {bound}, got {value}")
+            raise InstanceError(f"--{name} must be {bound}, got {quote(value)}")
 
 
 def _cmd_solve(args) -> int:
@@ -89,7 +89,7 @@ def sample_indices(inst: Instance, samples: int, seed: int) -> np.ndarray:
     so a decision space past 63 bits is refused, and so is a count past
     :data:`SAMPLE_CAP`, before any draw."""
     if samples > SAMPLE_CAP:
-        raise ValueError(f"{samples} samples exceed the cap of {SAMPLE_CAP}")
+        raise ValueError(f"{quote(samples)} samples exceed the cap of {SAMPLE_CAP}")
     n = inst.n
     b_node = resources.register_widths(inst).b_node
     bits = grover.search_space(inst).decision_bits

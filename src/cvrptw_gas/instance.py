@@ -145,7 +145,7 @@ def unpack_assignment(n: int, b_node: int, index: int) -> tuple[tuple[int, ...],
     return P, y
 
 
-def _quote(value) -> str:
+def quote(value) -> str:
     """``value`` as JSON text for a message, cut after :data:`_QUOTE_CHARS` characters."""
     text = json.dumps(value)
     return text if len(text) <= _QUOTE_CHARS else f"{text[:_QUOTE_CHARS]}... ({len(text):,} characters)"
@@ -155,13 +155,13 @@ def _integer(value, label: str) -> int:
     # JSON true/false arrive as bool, a subclass of int; neither they nor
     # floats such as 4.7 may be read as integers.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InstanceError(f"{label} must be an integer, not {_quote(value)}")
+        raise InstanceError(f"{label} must be an integer, not {quote(value)}")
     return value
 
 
 def _array(value, label: str) -> list:
     if not isinstance(value, list):
-        raise InstanceError(f"{label} must be an array, not {_quote(value)}")
+        raise InstanceError(f"{label} must be an array, not {quote(value)}")
     return value
 
 
@@ -235,7 +235,7 @@ def _parse(text: str) -> Instance:
 
         def as_pair(raw) -> tuple[int, int]:
             if len(_array(raw, "window")) != 2:
-                raise InstanceError(f"window must be an [a, b] pair, not {_quote(raw)}")
+                raise InstanceError(f"window must be an [a, b] pair, not {quote(raw)}")
             return _integer(raw[0], "window bound"), _integer(raw[1], "window bound")
 
         pairs = tuple(as_pair(raw) for raw in raw_windows)

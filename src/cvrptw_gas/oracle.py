@@ -28,10 +28,16 @@ Two bookkeeping details go beyond the obvious translation of the recurrences:
   it swaps the loser into a per-position spill register that stays dirty
   until the mirror phase clears it.
 
+The layout allocates no register that the chains leave unused. Vacuous
+windows (:attr:`~cvrptw_gas.instance.Instance.windows_vacuous`) cannot reject
+a route, so they allocate no clock, spill, window-flag or clock-overflow
+register, and the time chain is empty. The cost register is as wide as the
+largest value the accumulator can reach
+(:func:`~cvrptw_gas.resources.cost_register_bound`).
+
 The compute phase is kept small by rewrites that leave the mark of every
 input unchanged, and the layout with it:
 
-* vacuous windows reduce the time chain to one X per window flag;
 * the window opening becomes the close in the pool through one encoder of
   their XOR;
 * the first cost leg is XORed into the still-zero cost register, and at each
@@ -114,10 +120,11 @@ class OracleLayout:
     load: tuple[RegisterRef, ...]
     load_ok: RegisterRef
     load_overflow: RegisterRef | None
+    # The five time registers are () or None when the windows are vacuous.
     clock: tuple[RegisterRef, ...]
-    waited: RegisterRef
+    waited: RegisterRef | None
     clock_spill: tuple[RegisterRef, ...]
-    time_ok: RegisterRef
+    time_ok: RegisterRef | None
     clock_overflow: RegisterRef | None
     cost: RegisterRef
     cost_ok: int
@@ -130,12 +137,15 @@ class OracleLayout:
 
 
 def build_layout(inst: Instance, k: int) -> OracleLayout:
-    """Allocate every register; same instance and threshold give identical
-    indices. Raises :class:`LayoutError` for a negative threshold."""
+    """Allocate every register the chains use; same instance and threshold
+    give identical indices. Vacuous windows allocate no time register, and
+    n = 1 no pair flag or overflow flag. Raises :class:`LayoutError` for a
+    negative threshold."""
     if k < 0:
         raise LayoutError("threshold must be nonnegative")
     n = inst.n
     widths = register_widths(inst)
+    timed = not inst.windows_vacuous
 
     alloc = Circuit()
     reg = alloc.add_register
@@ -157,11 +167,11 @@ def build_layout(inst: Instance, k: int) -> OracleLayout:
         load=per_position("load", widths.w_cap),
         load_ok=reg("load_ok", n),
         load_overflow=reg("load_overflow", n - 1) if n > 1 else None,
-        clock=per_position("clock", widths.w_time),
-        waited=reg("waited", n),
-        clock_spill=per_position("clock_spill", widths.w_time),
-        time_ok=reg("time_ok", n),
-        clock_overflow=reg("clock_overflow", n - 1) if n > 1 else None,
+        clock=per_position("clock", widths.w_time) if timed else (),
+        waited=reg("waited", n) if timed else None,
+        clock_spill=per_position("clock_spill", widths.w_time) if timed else (),
+        time_ok=reg("time_ok", n) if timed else None,
+        clock_overflow=reg("clock_overflow", n - 1) if timed and n > 1 else None,
         cost=reg("cost", widths.w_cost),
         cost_ok=reg("cost_ok", 1).qubit(0),
         marked=reg("marked", 1).qubit(0),
@@ -259,17 +269,14 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     The window value in the pool goes from the opening to the close through
     one encoder of ``opening XOR close``. When the windows are vacuous
     (:attr:`Instance.windows_vacuous`), no route can wait, pass a close or
-    wrap the clock, so the chain is one X per ``time_ok`` flag and the clock
-    registers stay zero. Out-of-range codes then pass the window check too;
-    the tour-validity flag already rejects them.
+    wrap the clock, so the layout has no time register and the chain is
+    empty.
     """
     inst = layout.inst
     n = inst.n
     w = layout.widths.w_time
     c = layout.empty_circuit()
-    if inst.windows_vacuous:
-        for q in layout.time_ok.qubits():
-            c.x(q)
+    if layout.time_ok is None:
         return c
     from_depot = _customer_table(layout, lambda v: inst.T[0][v])
     opening = _customer_table(layout, lambda v: inst.windows[v][0])
@@ -340,7 +347,9 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     bound, the sum of the maxima of the tables added so far. No assignment,
     malformed ones included, can exceed that bound, so the higher cost bits
     stay zero and the next pool qubit seeds the carry; the comparator reads
-    the same bits. The full register is sized so no assignment can wrap it.
+    the same bits. The last bound is
+    :func:`~cvrptw_gas.resources.cost_register_bound`, which sizes the
+    register, so the last adder and the comparator run over all of it.
     """
     inst = layout.inst
     n = inst.n
@@ -376,7 +385,8 @@ def _mark_controls(layout: OracleLayout) -> list[tuple[int, bool]]:
     controls: list[tuple[int, bool]] = [(layout.valid_tour, True)]
     controls.append((layout.split.qubit(n - 1), True))  # last split bit must close the tour
     controls.extend((layout.load_ok.qubit(i), True) for i in range(n))
-    controls.extend((layout.time_ok.qubit(i), True) for i in range(n))
+    if layout.time_ok is not None:
+        controls.extend((layout.time_ok.qubit(i), True) for i in range(n))
     controls.append((layout.cost_ok, True))
     if layout.load_overflow is not None:
         controls.extend((q, False) for q in layout.load_overflow.qubits())

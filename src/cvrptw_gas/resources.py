@@ -7,10 +7,13 @@ Two conventions are reported side by side and never mixed:
   n log2 t_max + log2 w_max`` (real-valued, no ceilings), handy for plots;
 * an integer engineering budget with explicit ceilings that accounts for
   every qubit the layout actually allocates, including overflow flags, the
-  max-selection spill registers, and the shared scratch pool.
+  max-selection spill registers, and the shared scratch pool. Vacuous
+  windows allocate no time registers, and the cost register is as wide as
+  the largest value the cost accumulator can reach.
 
 The engineering total equals ``oracle.build_layout(...)`` exactly; the smooth
-expression does not (ceilings and bookkeeping qubits only add).
+expression does not (it charges a clock whatever the windows, and ceilings
+and bookkeeping qubits only add).
 """
 
 from __future__ import annotations
@@ -33,13 +36,28 @@ PLOT_ROW_CAP = 100_000
 class RegisterWidths:
     b_node: int  # bits per tour position
     w_cap: int  # bits per load register
-    w_time: int  # bits per clock register
+    w_time: int  # bits per clock register; 0 when the windows are vacuous
     w_cost: int  # bits of the cost accumulator
 
 
 def cost_upper_bound(inst: Instance) -> int:
     """Upper bound on any objective value: at most 2n legs, each at most max(D)."""
     return 2 * inst.n * inst.max_distance
+
+
+def cost_register_bound(inst: Instance) -> int:
+    """The largest value the oracle's cost accumulator can reach on any
+    assignment, malformed ones included: the largest leg out of the depot,
+    then per later position the largest leg leaving a customer (a return or
+    a direct leg) plus the largest leg out of the depot, then the largest
+    return. An out-of-range code reads every table as 0, so it only lowers
+    a sum."""
+    D = inst.D
+    customers = inst.customers
+    to_first = max(D[0][v] for v in customers)
+    back_home = max(D[v][0] for v in customers)
+    direct = max((D[u][v] for u in customers for v in customers if u != v), default=0)
+    return to_first + (inst.n - 1) * (max(back_home, direct) + to_first) + back_home
 
 
 def max_window_close(inst: Instance) -> int:
@@ -59,14 +77,15 @@ def max_clock_value(inst: Instance) -> int:
 def register_widths(inst: Instance) -> RegisterWidths:
     """Widths sized from the instance maxima.
 
-    The clock width comes from :func:`max_clock_value`, the load width from
-    the capacity, and the cost width from the 2n-leg bound.
+    The clock width comes from :func:`max_clock_value`, or is 0 when the
+    windows are vacuous and the layout has no clock; the load width comes
+    from the capacity, and the cost width from :func:`cost_register_bound`.
     """
     return RegisterWidths(
         b_node=bits_for(inst.n),
         w_cap=bits_for(inst.c_max),
-        w_time=bits_for(max_clock_value(inst)),
-        w_cost=bits_for(cost_upper_bound(inst)),
+        w_time=0 if inst.windows_vacuous else bits_for(max_clock_value(inst)),
+        w_cost=bits_for(cost_register_bound(inst)),
     )
 
 
@@ -78,7 +97,8 @@ class QubitBudget:
     registers: the max-selection spill registers (n * w_time), one adder
     overflow flag per chained addition in the load and clock chains
     (2 * (n - 1)), and the shared scratch pool (max register width + 1 carry
-    seed).
+    seed). Without a time chain, ``time`` is 0 and ``ancilla`` has no spill
+    registers and no clock overflow flags.
     """
 
     tour: int
@@ -102,28 +122,36 @@ def _require(least: int, **params: int) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def qubit_budget(n: int, d_max: int, t_max: int, w_max: int) -> QubitBudget:
+def qubit_budget(n: int, d_max: int, t_max: int | None, w_max: int) -> QubitBudget:
     """Integer budget with ceilings for given parameter maxima. Each width is
     ``bits_for`` of its maximum, as in :func:`register_widths`, so a maximum
-    of 0 takes one bit; only ``n < 1`` or a negative maximum is refused."""
+    of 0 takes one bit; only ``n < 1`` or a negative maximum is refused.
+    ``t_max`` None means no time chain, as for vacuous windows."""
     _require(1, n=n)
-    _require(0, d_max=d_max, t_max=t_max, w_max=w_max)
-    b_node, w_cap, w_time, w_cost = map(bits_for, (n, d_max, t_max, w_max))
+    _require(0, d_max=d_max, t_max=0 if t_max is None else t_max, w_max=w_max)
+    b_node, w_cap, w_cost = map(bits_for, (n, d_max, w_max))
+    if t_max is None:
+        w_time = time = clock_overflow = 0
+    else:
+        w_time = bits_for(t_max)
+        time = n * w_time + 2 * n  # clocks, waited and time_ok flags
+        clock_overflow = n - 1
     pool = max(b_node, w_cap, w_time, w_cost) + 1
     return QubitBudget(
         tour=n * b_node,
         splits=n,
         all_different=n * (n - 1) // 2 + n + 1,
         capacity=n * w_cap + n,
-        time=n * w_time + 2 * n,
+        time=time,
         cost=w_cost + 1,
         output=1,
-        ancilla=n * w_time + 2 * (n - 1) + pool,
+        ancilla=n * w_time + (n - 1) + clock_overflow + pool,
     )
 
 
 def instance_budget(inst: Instance) -> QubitBudget:
-    return qubit_budget(inst.n, inst.c_max, max_clock_value(inst), cost_upper_bound(inst))
+    t_max = None if inst.windows_vacuous else max_clock_value(inst)
+    return qubit_budget(inst.n, inst.c_max, t_max, cost_register_bound(inst))
 
 
 def figure_expression(n: int, d_max: int, t_max: int, w_max: int) -> float:

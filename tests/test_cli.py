@@ -287,6 +287,23 @@ def test_negative_seed_names_the_option(capsys, small_path, argv):
     assert f"--seed must be nonnegative, got {argv[argv.index('--seed') + 1]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--mode", "sample", "--samples", str(10**400)], f"samples exceed the cap of {1 << 20}"),
+        (["--seed", str(-(10**70))], "--seed must be nonnegative, got -1"),
+    ],
+)
+def test_huge_option_values_quoted_short(capsys, small_path, argv, message):
+    """A number past 60 characters is cut, as a wrong value in a document
+    is: one short line that still names the cap or the bound."""
+    code, out, err = run_cli(capsys, "verify-oracle", small_path, "--k", "19", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert "... (" in err and " characters)" in err
+    assert err.count("\n") == 1 and len(err) < 150
+
+
 def test_verify_oracle_help_names_the_scan_limits(capsys, monkeypatch):
     """The parser is built per call, so its help reads the current limits."""
     monkeypatch.setattr(oracle, "EXHAUSTIVE_SCAN_CAP_BITS", 31)
@@ -393,7 +410,8 @@ def test_verify_oracle_refuses_samples_past_the_cap(capsys, small_path, samples)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"{samples} samples exceed the cap of {1 << 20}" in err
+    assert err.startswith(f"error: {str(samples)[:60]}")
+    assert err.endswith(f" samples exceed the cap of {1 << 20}\n")
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])
@@ -495,10 +513,10 @@ def test_resources_instance(capsys, example_path):
     code, out, _ = run_cli(capsys, "resources", "--instance", example_path)
     assert code == 0
     doc = json.loads(out)
-    assert doc["widths"] == {"node": 3, "load": 3, "clock": 9, "cost": 10}
-    assert doc["budget"]["total"] == 223
+    assert doc["widths"] == {"node": 3, "load": 3, "clock": 0, "cost": 9}
+    assert doc["budget"]["total"] == 96
     assert doc["quoted_six_customer_qubits"] == 147
-    assert hashlib.sha256(out.encode()).hexdigest() == "bca95f8d5b4b90261fd9ddd35937258c3b68439ddaae869833926ac31c3da9a0"
+    assert hashlib.sha256(out.encode()).hexdigest() == "227143b6ae8fb5366afcb75892dd5022d105090bb7d14e35b7381c94cc9508d0"
 
 
 def test_resources_csv(capsys):

@@ -106,17 +106,12 @@ REGISTER_TABLES = {
             *_per_position("load", 46, 3, 6),
             ("load_ok", 64, 6),
             ("load_overflow", 70, 5),
-            *_per_position("clock", 75, 9, 6),
-            ("waited", 129, 6),
-            *_per_position("clock_spill", 135, 9, 6),
-            ("time_ok", 189, 6),
-            ("clock_overflow", 195, 5),
-            ("cost", 200, 10),
-            ("cost_ok", 210, 1),
-            ("marked", 211, 1),
-            ("pool", 212, 11),
+            ("cost", 75, 9),
+            ("cost_ok", 84, 1),
+            ("marked", 85, 1),
+            ("pool", 86, 10),
         ],
-        (45, 210, 211, 223),
+        (45, 84, 85, 96),
     ),
     "mixed4": (
         35,
@@ -150,16 +145,12 @@ REGISTER_TABLES = {
             ("valid_tour", 3, 1),
             ("load1", 4, 2),
             ("load_ok", 6, 1),
-            ("clock1", 7, 4),
-            ("waited", 11, 1),
-            ("clock_spill1", 12, 4),
-            ("time_ok", 16, 1),
-            ("cost", 17, 4),
-            ("cost_ok", 21, 1),
-            ("marked", 22, 1),
-            ("pool", 23, 5),
+            ("cost", 7, 4),
+            ("cost_ok", 11, 1),
+            ("marked", 12, 1),
+            ("pool", 13, 5),
         ],
-        (3, 21, 22, 28),
+        (3, 11, 12, 18),
     ),
 }
 
@@ -168,22 +159,31 @@ REGISTER_TABLES = {
 def test_layout_register_table_pinned(name, request):
     """Register names, order, starts and widths, and the single-qubit flags:
     the dump pin covers the gates' qubit indices but not the names, which
-    diagnostics read. Each layout field is the register of its name, and
-    n = 1 has no pair flags and no overflow registers."""
+    diagnostics read. Each layout field is the register of its name, n = 1
+    has no pair flags and no overflow registers, and vacuous windows (the
+    example and the single customer) have no time registers."""
     k, table, flags = REGISTER_TABLES[name]
-    layout = build_layout(request.getfixturevalue(name), k)
+    inst = request.getfixturevalue(name)
+    layout = build_layout(inst, k)
     assert [(name, r.start, r.width) for name, r in layout.registers.items()] == table
     assert (layout.valid_tour, layout.cost_ok, layout.marked, layout.qubit_count) == flags
     regs = layout.registers
-    n = layout.inst.n
-    for field, prefix in (("tour", "pos"), ("load", "load"), ("clock", "clock"), ("clock_spill", "clock_spill")):
+    n = inst.n
+    timed = not inst.windows_vacuous
+    per_position = {"tour": "pos", "load": "load"}
+    if timed:
+        per_position.update(clock="clock", clock_spill="clock_spill")
+    else:
+        assert layout.clock == layout.clock_spill == ()
+    for field, prefix in per_position.items():
         assert getattr(layout, field) == tuple(regs[f"{prefix}{i}"] for i in range(1, n + 1))
     singles = ("split", "in_range", "distinct", "load_ok", "load_overflow", "waited", "time_ok", "clock_overflow")
     for field in (*singles, "cost", "pool"):
         assert getattr(layout, field) == regs.get(field)
-    assert {f for f in singles if getattr(layout, f) is None} == (
-        set() if n > 1 else {"distinct", "load_overflow", "clock_overflow"}
-    )
+    absent = set() if n > 1 else {"distinct", "load_overflow", "clock_overflow"}
+    if not timed:
+        absent |= {"waited", "time_ok", "clock_overflow"}
+    assert {f for f in singles if getattr(layout, f) is None} == absent
 
 
 # A leg of 50 against windows closing at 8, and a random document whose return
@@ -313,29 +313,28 @@ def test_time_chain_synthetic_examples():
 
 
 def test_time_chain_vacuous_windows_always_pass(vacuous3):
-    """Every range-valid assignment clears the window checks when the windows
-    are the defaulted vacuous ones."""
-    layout = build_layout(vacuous3, 100)
-    block = build_time_chain(layout)
-    host = layout.empty_circuit()
-    host.extend(block)
-    bits = search_space(layout.inst).decision_bits
-    count = 1 << bits
-    out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
-    ok = register_values(out, layout.time_ok, count)
+    """Vacuous windows cannot reject a route, so no window check reaches the
+    mark gate: it takes the tour flag, the last split bit, n load flags, the
+    cost flag and n - 1 load overflow flags, 2n + 2 controls in all."""
     n = vacuous3.n
-    for s in range(count):
-        P, _ = unpack_assignment(n, layout.widths.b_node, s)
-        if all(1 <= v <= n for v in P):
-            assert ok[s] == (1 << n) - 1, (P, s)
+    layout = build_layout(vacuous3, 100)
+    built = build_oracle(vacuous3, 100)
+    (mark,) = [g for g in built.gates if g.target == layout.marked]
+    assert len(mark.controls) == 2 * n + 2
+    time_names = ("clock", "waited", "time_ok")
+    time_qubits = {q for name, reg in layout.registers.items() if name.startswith(time_names) for q in reg.qubits()}
+    assert not time_qubits & set(mark.controls)
 
 
 def test_time_chain_vacuous_windows_is_flags_only(vacuous3):
-    """Vacuous windows cannot bind, so the chain only sets the n flags."""
+    """Vacuous windows cannot bind, so the chain needs not even the n flags:
+    the layout has none of the five time registers and the chain has no gate."""
     layout = build_layout(vacuous3, 100)
-    gates = build_time_chain(layout).gates
-    assert gates == [Gate("mcx", q) for q in layout.time_ok.qubits()]
-    assert len(gates) == vacuous3.n
+    assert not any(name.startswith(("clock", "waited", "time_ok")) for name in layout.registers)
+    assert (layout.clock, layout.clock_spill) == ((), ())
+    assert layout.waited is layout.time_ok is layout.clock_overflow is None
+    assert layout.widths.w_time == 0
+    assert build_time_chain(layout).gates == []
 
 
 def test_time_chain_matches_recurrence_exhaustively(window_bound3):
@@ -418,27 +417,27 @@ def test_exit_leg_encoder_writes_one_table(mixed4):
 
 def test_example_oracle_structure(example6):
     """Gate, control and Toffoli counts of the paper's example at its
-    optimum + 1, frozen: the vacuous windows leave six X gates in the time
-    chain, the cost chain runs 11 trimmed adders, and the ripple blocks emit
-    only gates whose controls can all be 1."""
+    optimum + 1, frozen: the vacuous windows leave the time chain empty, the
+    cost chain runs 11 trimmed adders, and the ripple blocks emit only gates
+    whose controls can all be 1."""
     layout = build_layout(example6, 182)
     builders = (build_uniqueness, build_capacity_chain, build_time_chain, build_cost_accumulator)
     chains = [b(layout) for b in builders]
-    assert [len(c.gates) for c in chains] == [247, 246, 6, 1767]
+    assert [len(c.gates) for c in chains] == [247, 246, 0, 1767]
     assert [toffoli_cost(c) for c in chains] == [192, 246, 0, 11400]
     built = build_oracle(example6, 182)
-    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4533
-    assert built.qubit_count == layout.qubit_count == 223
-    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 17969
-    # The mark gate has 25 controls: 2 * 25 - 3 Toffolis.
-    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 47 == 23723
+    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4521
+    assert built.qubit_count == layout.qubit_count == 96
+    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 17958
+    # The mark gate has 14 controls: 2 * 14 - 3 Toffolis.
+    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 25 == 23701
 
 
 @pytest.mark.parametrize(
     "name,k,gates,digest",
     [
         pytest.param(
-            "example6", 182, 4533, "71f31b6acbf33f20a9f1892c7bc2c48f453486619a22136f30c7aaec977186d1", id="example6-182"
+            "example6", 182, 4521, "a81e3009f5a6d07ff60d8d3ff88548633e2ea2fabf146768e8848639d521e8d0", id="example6-182"
         ),
         pytest.param(
             "mixed4", 35, 2933, "05eeef97baf5005e19a5c2b9359d9513c9658fa330ee13db2c730ff652f45a04", id="mixed4-35"
@@ -447,7 +446,7 @@ def test_example_oracle_structure(example6):
 )
 def test_oracle_dump_pinned(name, k, gates, digest, request):
     """The full gate lists, byte for byte: the paper's example, whose time
-    chain is flags only, and a fixture whose windows bind, so the clock chain
+    chain is empty, and a fixture whose windows bind, so the clock chain
     runs. A refactor of the block builders must not move either digest."""
     built = build_oracle(request.getfixturevalue(name), k)
     assert len(built.gates) == gates
@@ -483,6 +482,34 @@ def test_never_fired_gates_pinned(name, request):
         assert out == eval_basis_batch(built, columns, 1 << bits)
         never.append(fires.count(0))
     assert never == NEVER_FIRED[name]
+
+
+FIXTURES = (
+    "single_customer",
+    "windowed_pair",
+    "example6",
+    "cap_bound3",
+    "window_bound3",
+    "mixed4",
+    "vacuous3",
+    "bound7",
+    "bound8",
+)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_qubit_is_a_target_or_a_control(name, request):
+    """The layout allocates only qubits the oracle uses: at k = 0, opt + 1
+    and 10^6, every qubit is the target or a control of some gate."""
+    inst = request.getfixturevalue(name)
+    opt = int(feasible_table(inst).costs.min())
+    for k in (0, opt + 1, 10**6):
+        built = build_oracle(inst, k)
+        used = set()
+        for _, target, controls in built.gates:
+            used.add(target)
+            used.update(q for q, _ in controls)
+        assert sorted(set(range(built.qubit_count)) - used) == [], k
 
 
 def test_mark_predicate_example_values(example6):
@@ -713,6 +740,17 @@ def _drop_gate_on(builder, qubit_of):
     return faulty
 
 
+def _stray_x_on(builder, qubit_of):
+    """``builder`` with one X on ``qubit_of(layout)`` after its gates."""
+
+    def faulty(layout):
+        c = builder(layout)
+        c.x(qubit_of(layout))
+        return c
+
+    return faulty
+
+
 def _with_table(builder, field, edit):
     """``builder`` run on the layout with one table of its instance edited."""
 
@@ -761,10 +799,11 @@ FAULTS = {
         "build_time_chain",
         lambda b: _drop_gate_on(b, lambda lay: lay.time_ok.qubit(1)),
     ),
-    "time: drop a vacuous window flag": (
+    "time: a stray X on cost_ok": ("vacuous3", "build_time_chain", lambda b: _stray_x_on(b, lambda lay: lay.cost_ok)),
+    "time: a stray X on a pool qubit": (
         "vacuous3",
         "build_time_chain",
-        lambda b: _drop_gate_on(b, lambda lay: lay.time_ok.qubit(1)),
+        lambda b: _stray_x_on(b, lambda lay: lay.pool.qubit(0)),
     ),
     "cost: wrong depot leg of customer 1": (
         "mixed4",

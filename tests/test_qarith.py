@@ -186,20 +186,20 @@ def test_const_comparators_emit_only_gates_that_fire(width):
 
 def test_lt_const_exhaustive_at_cost_width(example6):
     """Every threshold of a comparator as wide as the six-customer example's
-    cost register, over every register value."""
-    width = register_widths(example6).w_cost
-    assert width == 10
-    host = Circuit()
-    a = host.add_register("a", width)
-    anc = host.add_register("anc", width + 1)
-    flag = host.add_register("flag", 1)
-    for k in range((1 << width) + 1):
-        block = build_lt_const(a, k, flag.qubit(0), anc, qubit_count=host.qubit_count)
-        out, count = run_exhaustive(host, block, width)
-        idx = np.arange(count)
-        assert (register_values(out, flag, count) == (idx < k)).all(), k
-        assert (register_values(out, a, count) == idx).all(), "operand modified"
-        assert (register_values(out, anc, count) == 0).all(), k
+    cost register, and of one a bit wider, over every register value."""
+    assert register_widths(example6).w_cost == 9
+    for width in (9, 10):
+        host = Circuit()
+        a = host.add_register("a", width)
+        anc = host.add_register("anc", width + 1)
+        flag = host.add_register("flag", 1)
+        for k in range((1 << width) + 1):
+            block = build_lt_const(a, k, flag.qubit(0), anc, qubit_count=host.qubit_count)
+            out, count = run_exhaustive(host, block, width)
+            idx = np.arange(count)
+            assert (register_values(out, flag, count) == (idx < k)).all(), (width, k)
+            assert (register_values(out, a, count) == idx).all(), "operand modified"
+            assert (register_values(out, anc, count) == 0).all(), (width, k)
 
 
 def test_comparator_boundaries():

@@ -1,12 +1,15 @@
 """Width policy, qubit budgets vs the real layout, the plot expression, and
 the Toffoli count."""
 
+import random
+
 import pytest
 
 from cvrptw_gas.circuit import Circuit
 from cvrptw_gas.oracle import build_layout
 from cvrptw_gas.resources import (
     QUOTED_SIX_CUSTOMER_QUBITS,
+    cost_register_bound,
     cost_upper_bound,
     emit_plot_data,
     figure_expression,
@@ -18,14 +21,26 @@ from cvrptw_gas.resources import (
     toffoli_cost,
 )
 
-from support import make_instance
+from support import make_instance, random_instance
 
 
 def test_register_widths_example(example6):
     widths = register_widths(example6)
     assert widths.b_node == 3
     assert widths.w_cap == 3
-    assert widths.w_cost == 10  # bound 2 * 6 * 46 = 552 needs ten bits
+    assert widths.w_time == 0  # vacuous windows: no clock
+    assert widths.w_cost == 9  # the accumulator reaches at most 440
+
+
+def test_cost_register_bound_example(example6):
+    """The largest leg out of the depot (30), then five times the largest leg
+    leaving a customer (the direct 46) plus 30, then the largest return
+    (30): 440, below the 2n-leg bound of 552."""
+    D = example6.D
+    assert max(D[0][1:]) == max(D[v][0] for v in range(1, 7)) == 30
+    assert max(D[u][v] for u in range(1, 7) for v in range(1, 7) if u != v) == 46
+    assert cost_register_bound(example6) == 30 + 5 * (46 + 30) + 30 == 440
+    assert cost_upper_bound(example6) == 552
 
 
 def test_cost_upper_bound_is_safe(example6):
@@ -63,11 +78,28 @@ def test_budget_total_matches_layout_for_small_n(example6):
             }
         )
         assert instance_budget(inst).total == build_layout(inst, 10).qubit_count
-    assert instance_budget(example6).total == build_layout(example6, 272).qubit_count == 223
+    assert instance_budget(example6).total == build_layout(example6, 272).qubit_count == 96
     # All distances 0: the cost bound is 0, and a maximum of 0 takes one bit.
     zero = make_instance({"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]})
-    assert cost_upper_bound(zero) == 0
-    assert instance_budget(zero).total == build_layout(zero, 0).qubit_count == 32
+    assert cost_upper_bound(zero) == cost_register_bound(zero) == 0
+    assert instance_budget(zero).total == build_layout(zero, 0).qubit_count == 23
+
+
+def test_budget_total_matches_layout_on_random_instances():
+    """Five vacuous and five windowed random instances for each n = 1..6, at
+    three thresholds each: the budget counts exactly the qubits the layout
+    allocates, with or without a time chain."""
+    rng = random.Random(23)
+    kinds = set()
+    for n in range(1, 7):
+        for with_windows in (False, True) * 5:
+            inst = random_instance(rng, n, with_windows)
+            kinds.add(inst.windows_vacuous)
+            budget = instance_budget(inst)
+            assert (budget.time == 0) == inst.windows_vacuous
+            for k in (0, rng.randint(1, 100), 10**6):
+                assert budget.total == build_layout(inst, k).qubit_count, (n, with_windows, k)
+    assert kinds == {False, True}
 
 
 def test_budget_dominates_figure_expression_at_desk_scale():
