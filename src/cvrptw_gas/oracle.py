@@ -10,10 +10,13 @@ survive. :func:`cvrptw_gas.circuit.phase_kickback` turns the marking oracle
 into its phase-flip form.
 
 The decision block is the tour position registers plus just n split bits.
-The load, clock and cost chains share one scratch pool: each chained
-addition writes its value into the low pool bits, ripple-adds them into the
-target register with the next pool qubit as the carry seed, and clears the
-pool by writing the value again.
+The load, clock and cost chains share one scratch pool, and nothing else
+uses it: each chained addition writes its value into the low pool bits,
+ripple-adds them into the target register with the next pool qubit as the
+carry seed, and clears the pool by writing the value again. The pool is one
+qubit wider than the widest load, clock or cost register. The uniqueness
+chain needs no scratch: each pair flag XORs one tour code into the other
+and back, so it reads and restores the tour registers themselves.
 
 Two bookkeeping details go beyond the obvious translation of the recurrences:
 
@@ -175,7 +178,7 @@ def build_layout(inst: Instance, k: int) -> OracleLayout:
         cost=reg("cost", widths.w_cost),
         cost_ok=reg("cost_ok", 1).qubit(0),
         marked=reg("marked", 1).qubit(0),
-        pool=reg("pool", max(widths.b_node, widths.w_cap, widths.w_time, widths.w_cost) + 1),
+        pool=reg("pool", max(widths.w_cap, widths.w_time, widths.w_cost) + 1),
         registers=alloc.registers,
         qubit_count=alloc.qubit_count,
     )
@@ -225,14 +228,7 @@ def build_uniqueness(layout: OracleLayout) -> Circuit:
     idx = 0
     for i in range(n):
         for j in range(i + 1, n):
-            c.extend(
-                build_pair_neq(
-                    layout.tour[i],
-                    layout.tour[j],
-                    layout.distinct.qubit(idx),
-                    layout.pool.slice(0, layout.widths.b_node),
-                )
-            )
+            c.extend(build_pair_neq(layout.tour[i], layout.tour[j], layout.distinct.qubit(idx)))
             idx += 1
     flags = list(layout.in_range.qubits())
     if layout.distinct is not None:

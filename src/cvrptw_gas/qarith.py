@@ -28,7 +28,7 @@ unless noted):
   the spill slice keeps the overwritten register value whenever the choice
   flag fires -- that residue is information the overwrite cannot destroy, so
   only a mirrored uncompute can clear it.
-* ``build_pair_neq``        width (xor scratch)
+* ``build_pair_neq``        none (``b`` holds ``a XOR b`` in place)
 """
 
 from __future__ import annotations
@@ -377,29 +377,25 @@ def build_pair_neq(
     a: RegisterRef,
     b: RegisterRef,
     flag: int,
-    ancilla: RegisterRef,
+    ancilla: RegisterRef | None = None,
     *,
     qubit_count: int | None = None,
 ) -> Circuit:
-    """``flag ^= (a != b)``; operands untouched, scratch (width of a) restored.
+    """``flag ^= (a != b)``; both operands end unchanged and no scratch is
+    used (``ancilla`` is accepted and ignored).
 
-    XORs both registers into the scratch and flips the flag unless every
-    scratch bit reads zero.
+    XORs ``a`` into ``b``, flips the flag unless every bit of ``b`` reads
+    zero, and XORs ``a`` back.
     """
     if a.width != b.width:
         raise CircuitError("pair inequality needs equal widths")
-    if ancilla.width < a.width:
-        raise CircuitError("pair inequality needs a scratch as wide as the operands")
-    c = _blank(qubit_count, a, b, ancilla, flag)
-    scratch = ancilla.slice(0, a.width)
+    c = _blank(qubit_count, a, b, flag)
     for j in range(a.width):
-        c.cx(a.qubit(j), scratch.qubit(j))
-        c.cx(b.qubit(j), scratch.qubit(j))
-    c.mcx([(q, False) for q in scratch.qubits()], flag)  # fires iff a == b
+        c.cx(a.qubit(j), b.qubit(j))
+    c.mcx([(q, False) for q in b.qubits()], flag)  # fires iff a == b
     c.x(flag)
     for j in range(a.width):
-        c.cx(b.qubit(j), scratch.qubit(j))
-        c.cx(a.qubit(j), scratch.qubit(j))
+        c.cx(a.qubit(j), b.qubit(j))
     return c
 
 

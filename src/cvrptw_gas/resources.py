@@ -96,8 +96,9 @@ class QubitBudget:
     ``ancilla`` covers the bookkeeping the chains need beyond the named
     registers: the max-selection spill registers (n * w_time), one adder
     overflow flag per chained addition in the load and clock chains
-    (2 * (n - 1)), and the shared scratch pool (max register width + 1 carry
-    seed). Without a time chain, ``time`` is 0 and ``ancilla`` has no spill
+    (2 * (n - 1)), and the scratch pool the load, clock and cost chains share
+    (their widest register + 1 carry seed; the pair flags use no scratch).
+    Without a time chain, ``time`` is 0 and ``ancilla`` has no spill
     registers and no clock overflow flags.
     """
 
@@ -136,7 +137,7 @@ def qubit_budget(n: int, d_max: int, t_max: int | None, w_max: int) -> QubitBudg
         w_time = bits_for(t_max)
         time = n * w_time + 2 * n  # clocks, waited and time_ok flags
         clock_overflow = n - 1
-    pool = max(b_node, w_cap, w_time, w_cost) + 1
+    pool = max(w_cap, w_time, w_cost) + 1
     return QubitBudget(
         tour=n * b_node,
         splits=n,

@@ -30,6 +30,12 @@ def predicate_marks(inst, k) -> np.ndarray:
     return np.array([mark_predicate(inst, k, *unpack_assignment(n, b_node, s)).marked for s in range(1 << bits)])
 
 
+def zero_distance_instance(n):
+    """n unit demands against capacity 1 with every distance 0: the load and
+    cost registers are one bit wide, so a tour code is the widest register."""
+    return make_instance({"n": n, "c_max": 1, "distance": [[0] * (n + 1)] * (n + 1), "demands": [1] * n})
+
+
 def binding_instance(rng, n):
     """A random instance where capacity and windows both reject candidates and
     some windows open after the earliest arrival, so waiting delays the rest

@@ -105,6 +105,57 @@ def test_gate_validation():
     assert c.gates == []
 
 
+def _repeat_register_name():
+    c = Circuit()
+    c.add_register("r", 1)
+    c.add_register("r", 1)
+
+
+def _h_circuit():
+    c = Circuit(qubit_count=1)
+    c.h(0)
+    return c
+
+
+# name: (call that must be refused, its whole message as a pattern)
+REFUSALS = {
+    "register bit out of range": (lambda: RegisterRef("r", 0, 2).qubit(2), r"^bit 2 outside register 'r' of width 2$"),
+    "register slice out of range": (
+        lambda: RegisterRef("r", 0, 2).slice(1, 2),
+        r"^slice \[1, 3\) outside register 'r'$",
+    ),
+    "register of width 0": (lambda: Circuit().add_register("r", 0), r"^register width must be at least 1$"),
+    "repeated register name": (_repeat_register_name, r"^register 'r' already exists$"),
+    "extend with a wider block": (
+        lambda: Circuit(qubit_count=2).extend(Circuit(qubit_count=3)),
+        r"^block references more qubits than the host circuit$",
+    ),
+    "basis state past the qubits": (
+        lambda: eval_basis_int(Circuit(qubit_count=2), 0b100),
+        r"^state outside the circuit's qubit range$",
+    ),
+    "batch with a missing column": (
+        lambda: eval_basis_batch(Circuit(qubit_count=2), [0], 1),
+        r"^one column per qubit required$",
+    ),
+    "batch over an H gate": (
+        lambda: eval_basis_batch(_h_circuit(), [0], 1),
+        r"^basis evaluator handles permutation gates only \(no H\)$",
+    ),
+    "statevector of the wrong length": (
+        lambda: eval_statevector(Circuit(qubit_count=2), np.full(2, np.sqrt(0.5))),
+        r"^amplitude vector length must be 2\*\*qubit_count$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_name_what_is_wrong(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(CircuitError, match=message):
+        call()
+
+
 def test_inverse_reverses_gates():
     c = Circuit(qubit_count=2)
     c.x(0)

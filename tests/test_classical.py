@@ -50,6 +50,11 @@ def test_non_permutation_rejected(example6):
         feasible_and_cost(example6, [1, 1, 3, 4, 5, 6], [1] * 6)
 
 
+def test_split_vector_must_end_in_one(example6):
+    with pytest.raises(InstanceError, match=r"^split vector must have n entries and end in 1$"):
+        feasible_and_cost(example6, [1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 1, 0])
+
+
 def test_time_recurrence_waits_for_window():
     inst = make_instance(
         {

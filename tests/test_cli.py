@@ -371,6 +371,48 @@ def test_verify_oracle_exhaustive(capsys, small_path):
     assert out == '{"assignments_checked": 512, "mismatches": 0, "dirty_ancillas": 0, "decision_changed": 0}\n'
 
 
+def _drop_last_gate_on(circuit, targets):
+    del circuit.gates[max(i for i, g in enumerate(circuit.gates) if g.target in targets)]
+    return circuit
+
+
+# counter: (oracle function to replace, the faulty one made from the real one)
+VERIFY_FAULTS = {
+    # A chain built wrong: the uniqueness chain loses its final AND, so
+    # nothing is marked, and the mirror clears what is left.
+    "mismatches": (
+        "build_uniqueness",
+        lambda real: lambda layout: _drop_last_gate_on(real(layout), {layout.valid_tour}),
+    ),
+    # The mirror alone loses its last gate on a range flag, so the flag
+    # stays set.
+    "dirty_ancillas": (
+        "build_oracle",
+        lambda real: lambda inst, k: _drop_last_gate_on(real(inst, k), oracle.build_layout(inst, k).in_range.qubits()),
+    ),
+    # The mirror alone loses its last gate on a tour qubit, which restores
+    # a code a pair flag XORed into it.
+    "decision_changed": (
+        "build_oracle",
+        lambda real: lambda inst, k: _drop_last_gate_on(
+            real(inst, k), {q for ref in oracle.build_layout(inst, k).tour for q in ref.qubits()}
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("counter", sorted(VERIFY_FAULTS))
+def test_verify_oracle_mismatch_exit_code(capsys, small_path, monkeypatch, counter):
+    """A faulty oracle exits 5 with its report on stdout, the counter that
+    caught it nonzero, and one line on stderr."""
+    name, make_faulty = VERIFY_FAULTS[counter]
+    monkeypatch.setattr(oracle, name, make_faulty(getattr(oracle, name)))
+    code, out, err = run_cli(capsys, "verify-oracle", small_path, "--k", "19")
+    assert code == cli.EXIT_MISMATCH == 5
+    assert json.loads(out)[counter] > 0
+    assert err == "oracle disagrees with the reference marks\n"
+
+
 def test_verify_oracle_sample_mode(capsys, example_path):
     code, out, _ = run_cli(
         capsys, "verify-oracle", example_path, "--k", "182", "--mode", "sample", "--samples", "2000", "--seed", "0"
@@ -606,6 +648,12 @@ def test_split_rejects_bad_tour(capsys, example_path):
     for tour in ("1,1,3,4,5,6", "1,1"):
         code, out, err = run_cli(capsys, "split", example_path, "--tour", tour)
         assert (code, out, err) == (2, "", "error: tour is not a permutation of the customers\n")
+
+
+def test_split_rejects_a_tour_that_is_not_integers(capsys, example_path):
+    code, out, err = run_cli(capsys, "split", example_path, "--tour", "1,x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tour must be comma-separated customer ids: ")
 
 
 def test_split_single_customer(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Instance parsing, defaults, validation, and assignment decoding."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,21 @@ def test_missing_field_and_empty_instance_rejected():
         parse_instance(json.dumps({"n": 1, "c_max": 3, "distance": [[0, 1], [1, 0]]}))
     with pytest.raises(InstanceError, match="at least one customer"):
         parse_instance(json.dumps({"n": 0, "c_max": 3, "distance": [[0]], "demands": []}))
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"n": 0}, r"^instance needs at least one customer$"),
+        ({"q": (0, 1, 2)}, r"^demand vector must have a zero depot entry and one value per customer$"),
+        ({"windows": ((0, 10),) * 6}, r"^window vector must have one entry per node$"),
+    ],
+    ids=["no customers", "demands", "windows"],
+)
+def test_direct_construction_validated(example6, edit, message):
+    """An Instance built directly, bypassing the parser, runs the same checks."""
+    with pytest.raises(InstanceError, match=message):
+        replace(example6, **edit)
 
 
 def test_serialize_parse_round_trip(example6, mixed4):

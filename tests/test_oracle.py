@@ -38,7 +38,14 @@ from cvrptw_gas.oracle import (
 from cvrptw_gas.qarith import build_adder
 from cvrptw_gas.resources import instance_budget, max_window_close, register_widths, toffoli_cost
 
-from support import binding_instance, count_fires, make_instance, predicate_marks, random_instance
+from support import (
+    binding_instance,
+    count_fires,
+    make_instance,
+    predicate_marks,
+    random_instance,
+    zero_distance_instance,
+)
 
 
 def run_block_on(layout, block, P, y):
@@ -423,12 +430,12 @@ def test_example_oracle_structure(example6):
     layout = build_layout(example6, 182)
     builders = (build_uniqueness, build_capacity_chain, build_time_chain, build_cost_accumulator)
     chains = [b(layout) for b in builders]
-    assert [len(c.gates) for c in chains] == [247, 246, 0, 1767]
+    assert [len(c.gates) for c in chains] == [157, 246, 0, 1767]
     assert [toffoli_cost(c) for c in chains] == [192, 246, 0, 11400]
     built = build_oracle(example6, 182)
-    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4521
+    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4341
     assert built.qubit_count == layout.qubit_count == 96
-    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 17958
+    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 17778
     # The mark gate has 14 controls: 2 * 14 - 3 Toffolis.
     assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 25 == 23701
 
@@ -437,10 +444,10 @@ def test_example_oracle_structure(example6):
     "name,k,gates,digest",
     [
         pytest.param(
-            "example6", 182, 4521, "a81e3009f5a6d07ff60d8d3ff88548633e2ea2fabf146768e8848639d521e8d0", id="example6-182"
+            "example6", 182, 4341, "f1c0d8d3fece5ca234489b54083ba3a16aa3a52f2bd14f65462d3ca7ef001c2c", id="example6-182"
         ),
         pytest.param(
-            "mixed4", 35, 2933, "05eeef97baf5005e19a5c2b9359d9513c9658fa330ee13db2c730ff652f45a04", id="mixed4-35"
+            "mixed4", 35, 2861, "b2b25914aad5e0ced4cca825aabcb4a40d843c76f71b521a91e032db8c20bb38", id="mixed4-35"
         ),
     ],
 )
@@ -497,11 +504,20 @@ FIXTURES = (
 )
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", [*FIXTURES, *(f"zero_distance{n}" for n in range(4, 8))])
 def test_every_qubit_is_a_target_or_a_control(name, request):
     """The layout allocates only qubits the oracle uses: at k = 0, opt + 1
-    and 10^6, every qubit is the target or a control of some gate."""
-    inst = request.getfixturevalue(name)
+    and 10^6, every qubit is the target or a control of some gate.
+
+    On the zero-distance documents a tour code is wider than the load and
+    cost registers, so a pool sized by it would leave its top qubit idle.
+    Their cost is always 0, so no gate writes the one-bit cost register, and
+    only the comparator at k = 1 reads it: at k = 0 and 10^6 it is idle."""
+    zero_distance = name.startswith("zero_distance")
+    if zero_distance:
+        inst = zero_distance_instance(int(name.removeprefix("zero_distance")))
+    else:
+        inst = request.getfixturevalue(name)
     opt = int(feasible_table(inst).costs.min())
     for k in (0, opt + 1, 10**6):
         built = build_oracle(inst, k)
@@ -509,7 +525,8 @@ def test_every_qubit_is_a_target_or_a_control(name, request):
         for _, target, controls in built.gates:
             used.add(target)
             used.update(q for q, _ in controls)
-        assert sorted(set(range(built.qubit_count)) - used) == [], k
+        idle = [] if not zero_distance or k == opt + 1 else list(build_layout(inst, k).cost.qubits())
+        assert sorted(set(range(built.qubit_count)) - used) == idle, k
 
 
 def test_mark_predicate_example_values(example6):
@@ -523,6 +540,8 @@ def test_mark_predicate_example_values(example6):
     assert not res.marked and res.failure == "threshold"
     res = mark_predicate(example6, 10**6, (1, 2, 3, 4, 5, 6), (1, 1, 1, 1, 1, 0))
     assert not res.marked and res.failure == "range"
+    with pytest.raises(ValueError, match=r"^assignment must have n tour entries and n split bits$"):
+        mark_predicate(example6, 10**6, (1, 2, 3, 4, 5), (1,) * 6)
 
 
 def test_predicate_agrees_with_feasibility_report(mixed4):
@@ -575,6 +594,17 @@ def test_oracle_preserves_decisions_and_cleans_work(mixed4):
     rest = out >> bits
     rest &= ~(1 << (layout.marked - bits))
     assert rest == 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_oracle_zero_distance_exhaustive(n):
+    """Every distance 0, so the pool is narrower than a tour code: the pair
+    flags compare the codes in place, without it."""
+    inst = zero_distance_instance(n)
+    for k in (0, 1, 10**6):
+        report = equivalence_scan(inst, k)
+        assert report.assignments_checked == 1 << (4 * n)
+        assert report.clean, k
 
 
 def test_oracle_single_customer_exhaustive(single_customer):
@@ -850,6 +880,26 @@ def test_equivalence_scan_catches_an_uncompute_fault(mixed4, monkeypatch, after_
     report = equivalence_scan(mixed4, 10**6)
     assert report.mismatches == 0 and report.decision_changed == 0
     assert report.dirty_ancillas > 0
+
+
+def test_equivalence_scan_catches_a_decision_fault(mixed4, monkeypatch):
+    """Each pair flag XORs one tour code into the other and back, so the
+    mirror writes decision qubits. With the oracle's last gate on a tour
+    qubit removed (the CX that restores pos2 after the first pair flag is
+    uncomputed), the mark is still right but a decision bit stays flipped:
+    the scan must count it."""
+    real = oracle.build_oracle
+
+    def faulty(inst, k):
+        c = real(inst, k)
+        tour = {q for ref in build_layout(inst, k).tour for q in ref.qubits()}
+        del c.gates[max(i for i, g in enumerate(c.gates) if g.target in tour)]
+        return c
+
+    monkeypatch.setattr(oracle, "build_oracle", faulty)
+    report = equivalence_scan(mixed4, 10**6)
+    assert report.mismatches == 0
+    assert report.decision_changed > 0
 
 
 def test_oracle_equivalence_exhaustive_six_customer(example6):

@@ -13,6 +13,7 @@ import pytest
 from cvrptw_gas.circuit import (
     Circuit,
     CircuitError,
+    RegisterRef,
     columns_from_indices,
     count_resources,
     enumeration_columns,
@@ -31,6 +32,7 @@ from cvrptw_gas.qarith import (
     build_lt_const,
     build_lt_register,
     build_max_with_const,
+    build_max_with_register,
     build_pair_matrix_encoder,
     build_pair_neq,
 )
@@ -342,19 +344,78 @@ def test_pair_matrix_encoder_exhaustive(polarity):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_pair_neq_exhaustive(width):
+    """In place: ``a`` goes into ``b`` and back, so the block needs no
+    scratch and has 2 * width CX gates, the test and the flip."""
     host = Circuit()
     a = host.add_register("a", width)
     b = host.add_register("b", width)
-    anc = host.add_register("anc", width)
     flag = host.add_register("flag", 1)
-    block = build_pair_neq(a, b, flag.qubit(0), anc, qubit_count=host.qubit_count)
+    block = build_pair_neq(a, b, flag.qubit(0))
+    assert block.qubit_count == host.qubit_count
+    assert len(block.gates) == 2 * width + 2
     out, count = run_exhaustive(host, block, 2 * width)
     idx = np.arange(count)
     a_in, b_in = idx & ((1 << width) - 1), idx >> width
     assert (register_values(out, flag, count) == (a_in != b_in)).all()
     assert (register_values(out, a, count) == a_in).all()
     assert (register_values(out, b, count) == b_in).all()
-    assert (register_values(out, anc, count) == 0).all()
+
+
+# Operands of width 3, a narrower register and an ancilla one qubit short
+# of what the constant gadgets need.
+_A, _B = RegisterRef("a", 0, 3), RegisterRef("b", 3, 3)
+_NARROW, _SHORT, _FLAG = RegisterRef("n", 6, 2), RegisterRef("anc", 8, 3), 11
+
+# name: (call that must be refused, its whole message as a pattern)
+REFUSALS = {
+    "constant adder ancilla": (
+        lambda: build_add_const(_A, 5, _SHORT),
+        r"^constant adder needs width \+ 1 ancilla qubits$",
+    ),
+    "leq constant range": (
+        lambda: build_leq_const(_A, 8, _FLAG, _SHORT),
+        r"^comparison constant 8 does not fit 3 bits$",
+    ),
+    "leq ancilla": (
+        lambda: build_leq_const(_A, 4, _FLAG, _SHORT),
+        r"^comparator needs width \+ 1 ancilla qubits$",
+    ),
+    "lt constant range": (
+        lambda: build_lt_const(_A, 9, _FLAG, _SHORT),
+        r"^comparison constant 9 out of range for 3 bits$",
+    ),
+    "max constant range": (
+        lambda: build_max_with_const(_A, 8, _FLAG, _SHORT),
+        r"^constant 8 does not fit 3 bits$",
+    ),
+    "max ancilla": (
+        lambda: build_max_with_const(_A, 5, _FLAG, _SHORT),
+        r"^max gadget needs 2 \* width \+ 1 ancilla qubits$",
+    ),
+    "lt register widths": (
+        lambda: build_lt_register(_A, _NARROW, _FLAG, _SHORT),
+        r"^comparator operands must have equal widths$",
+    ),
+    "max register widths": (
+        lambda: build_max_with_register(_A, _B, _FLAG, _NARROW, _SHORT),
+        r"^max operands and spill must share one width$",
+    ),
+    "pair inequality widths": (
+        lambda: build_pair_neq(_A, _NARROW, _FLAG),
+        r"^pair inequality needs equal widths$",
+    ),
+    "table past its index": (
+        lambda: build_conditional_encoder(_NARROW, [0] * 5, _A),
+        r"^table longer than the index register can address$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_name_what_is_wrong(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(CircuitError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("flags", [1, 2, 4, 8])

@@ -21,7 +21,7 @@ from cvrptw_gas.resources import (
     toffoli_cost,
 )
 
-from support import make_instance, random_instance
+from support import make_instance, random_instance, zero_distance_instance
 
 
 def test_register_widths_example(example6):
@@ -83,6 +83,13 @@ def test_budget_total_matches_layout_for_small_n(example6):
     zero = make_instance({"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]})
     assert cost_upper_bound(zero) == cost_register_bound(zero) == 0
     assert instance_budget(zero).total == build_layout(zero, 0).qubit_count == 23
+    # Capacity 1 too: a tour code (3 bits) is wider than the load and cost
+    # registers (1 bit), and the pool, which only their chains use, is 2.
+    for n, qubits in ((4, 43), (5, 55), (6, 68), (7, 82)):
+        inst = zero_distance_instance(n)
+        layout = build_layout(inst, 0)
+        assert layout.widths.b_node == 3 and layout.pool.width == 2
+        assert instance_budget(inst).total == layout.qubit_count == qubits
 
 
 def test_budget_total_matches_layout_on_random_instances():
