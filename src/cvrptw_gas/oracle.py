@@ -26,14 +26,14 @@ Two bookkeeping details go beyond the obvious translation of the recurrences:
   final AND requires every overflow flag clear (negative controls). Feasible
   assignments never set one; the first infeasible step always trips either
   the comparator or the carry.
-* The in-place max against the window opening cannot erase the displaced
-  clock value (two clocks below the opening would collapse to one state), so
-  it swaps the loser into a per-position spill register that stays dirty
-  until the mirror phase clears it.
+* Each clock holds the arrival: no opening is past its close, so the
+  arrival alone decides the window check. The departure, the base of the
+  next arrival, is written out of place into the next clock, which is still
+  zero (Bennett's compute-copy-uncompute), so no overwritten value is kept.
 
 The layout allocates no register that the chains leave unused. Vacuous
 windows (:attr:`~cvrptw_gas.instance.Instance.windows_vacuous`) cannot reject
-a route, so they allocate no clock, spill, window-flag or clock-overflow
+a route, so they allocate no clock, wait-flag, window-flag or clock-overflow
 register, and the time chain is empty. The cost register is as wide as the
 largest value the accumulator can reach
 (:func:`~cvrptw_gas.resources.cost_register_bound`).
@@ -41,7 +41,7 @@ largest value the accumulator can reach
 The compute phase is kept small by rewrites that leave the mark of every
 input unchanged, and the layout with it:
 
-* the window opening becomes the close in the pool through one encoder of
+* the window close becomes the opening in the pool through one encoder of
   their XOR;
 * the first cost leg is XORed into the still-zero cost register, and at each
   later position the return and the direct leg leaving the previous customer
@@ -85,7 +85,7 @@ from .qarith import (
     build_leq_const,
     build_leq_register,
     build_lt_const,
-    build_max_with_register,
+    build_lt_register,
     build_pair_matrix_encoder,
     build_pair_neq,
 )
@@ -123,10 +123,9 @@ class OracleLayout:
     load: tuple[RegisterRef, ...]
     load_ok: RegisterRef
     load_overflow: RegisterRef | None
-    # The five time registers are () or None when the windows are vacuous.
+    # The four time registers are () or None when the windows are vacuous.
     clock: tuple[RegisterRef, ...]
     waited: RegisterRef | None
-    clock_spill: tuple[RegisterRef, ...]
     time_ok: RegisterRef | None
     clock_overflow: RegisterRef | None
     cost: RegisterRef
@@ -142,7 +141,7 @@ class OracleLayout:
 def build_layout(inst: Instance, k: int) -> OracleLayout:
     """Allocate every register the chains use; same instance and threshold
     give identical indices. Vacuous windows allocate no time register, and
-    n = 1 no pair flag or overflow flag. Raises :class:`LayoutError` for a
+    n = 1 no pair, overflow or wait flag. Raises :class:`LayoutError` for a
     negative threshold."""
     if k < 0:
         raise LayoutError("threshold must be nonnegative")
@@ -171,8 +170,7 @@ def build_layout(inst: Instance, k: int) -> OracleLayout:
         load_ok=reg("load_ok", n),
         load_overflow=reg("load_overflow", n - 1) if n > 1 else None,
         clock=per_position("clock", widths.w_time) if timed else (),
-        waited=reg("waited", n) if timed else None,
-        clock_spill=per_position("clock_spill", widths.w_time) if timed else (),
+        waited=reg("waited", n - 1) if timed and n > 1 else None,
         time_ok=reg("time_ok", n) if timed else None,
         clock_overflow=reg("clock_overflow", n - 1) if timed and n > 1 else None,
         cost=reg("cost", widths.w_cost),
@@ -258,15 +256,16 @@ def build_capacity_chain(layout: OracleLayout) -> Circuit:
 
 
 def build_time_chain(layout: OracleLayout) -> Circuit:
-    """Per position: seed the clock from the depot on a fresh route, otherwise
-    carry the previous clock forward and add the leg time; lift to the window
-    opening with the max gadget; flag ``clock <= window close``.
+    """Per position: flag ``arrival <= window close`` and, before the last
+    position, flag ``arrival < window opening`` and write the next arrival:
+    the depot leg on a fresh route, else the departure plus the leg time.
 
-    The window value in the pool goes from the opening to the close through
-    one encoder of ``opening XOR close``. When the windows are vacuous
-    (:attr:`Instance.windows_vacuous`), no route can wait, pass a close or
-    wrap the clock, so the layout has no time register and the chain is
-    empty.
+    The departure goes out of place into the next clock, still zero: copy
+    the arrival, then swap it for the opening where the route waited. The
+    pool goes from the close to the opening through one encoder of their
+    XOR. When the windows are vacuous (:attr:`Instance.windows_vacuous`),
+    no route can wait, pass a close or wrap the clock, so the layout has no
+    time register and the chain is empty.
     """
     inst = layout.inst
     n = inst.n
@@ -277,40 +276,38 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     from_depot = _customer_table(layout, lambda v: inst.T[0][v])
     opening = _customer_table(layout, lambda v: inst.windows[v][0])
     closing = _customer_table(layout, lambda v: inst.windows[v][1])
-    open_to_close = [a ^ b for a, b in zip(opening, closing)]
+    close_to_open = [a ^ b for a, b in zip(opening, closing)]
     window = layout.pool.slice(0, w)
     seed = layout.pool.slice(w, 1)
+    c.extend(build_conditional_encoder(layout.tour[0], from_depot, layout.clock[0]))
     for i in range(n):
-        if i == 0:
-            c.extend(build_conditional_encoder(layout.tour[0], from_depot, layout.clock[0]))
-        else:
-            restart = (layout.split.qubit(i - 1), True)
-            carry_on = (layout.split.qubit(i - 1), False)
-            c.extend(build_conditional_encoder(layout.tour[i], from_depot, layout.clock[i], controls=[restart]))
-            for j in range(w):
-                c.ccx(carry_on, (layout.clock[i - 1].qubit(j), True), layout.clock[i].qubit(j))
-            leg = build_pair_matrix_encoder(
-                layout.tour[i - 1],
-                layout.tour[i],
-                inst.T,
-                inst.customers,
-                layout.pool.slice(0, w),
-                controls=[carry_on],
-            )
-            _add_through_pool(c, layout, leg, layout.clock[i], layout.clock_overflow.qubit(i - 1))
-        c.extend(build_conditional_encoder(layout.tour[i], opening, window))
-        c.extend(
-            build_max_with_register(
-                layout.clock[i],
-                window,
-                layout.waited.qubit(i),
-                layout.clock_spill[i],
-                seed,
-            )
-        )
-        c.extend(build_conditional_encoder(layout.tour[i], open_to_close, window))
-        c.extend(build_leq_register(layout.clock[i], window, layout.time_ok.qubit(i), seed))
+        arrival = layout.clock[i]
         c.extend(build_conditional_encoder(layout.tour[i], closing, window))
+        c.extend(build_leq_register(arrival, window, layout.time_ok.qubit(i), seed))
+        if i == n - 1:
+            c.extend(build_conditional_encoder(layout.tour[i], closing, window))
+            break
+        waited = layout.waited.qubit(i)
+        c.extend(build_conditional_encoder(layout.tour[i], close_to_open, window))
+        c.extend(build_lt_register(arrival, window, waited, seed))
+        restart = (layout.split.qubit(i), True)
+        carry_on = (layout.split.qubit(i), False)
+        nxt = layout.clock[i + 1]
+        c.extend(build_conditional_encoder(layout.tour[i + 1], from_depot, nxt, controls=[restart]))
+        for j in range(w):
+            c.ccx(carry_on, (arrival.qubit(j), True), nxt.qubit(j))
+        # Carried on after a wait: the departure is the opening, not the arrival.
+        swap = seed.qubit(0)
+        c.ccx(carry_on, (waited, True), swap)
+        for j in range(w):
+            c.ccx(swap, arrival.qubit(j), nxt.qubit(j))
+            c.ccx(swap, window.qubit(j), nxt.qubit(j))
+        c.ccx(carry_on, (waited, True), swap)
+        c.extend(build_conditional_encoder(layout.tour[i], opening, window))
+        leg = build_pair_matrix_encoder(
+            layout.tour[i], layout.tour[i + 1], inst.T, inst.customers, window, controls=[carry_on]
+        )
+        _add_through_pool(c, layout, leg, nxt, layout.clock_overflow.qubit(i))
     return c
 
 

@@ -6,10 +6,10 @@ Two conventions are reported side by side and never mixed:
 * the smooth scaling expression ``n^2 + n log2 n + 6n + n log2 d_max +
   n log2 t_max + log2 w_max`` (real-valued, no ceilings), handy for plots;
 * an integer engineering budget with explicit ceilings that accounts for
-  every qubit the layout actually allocates, including overflow flags, the
-  max-selection spill registers, and the shared scratch pool. Vacuous
-  windows allocate no time registers, and the cost register is as wide as
-  the largest value the cost accumulator can reach.
+  every qubit the layout actually allocates, including overflow flags and
+  the shared scratch pool. Vacuous windows allocate no time registers, and
+  the cost register is as wide as the largest value the cost accumulator
+  can reach.
 
 The engineering total equals ``oracle.build_layout(...)`` exactly; the smooth
 expression does not (it charges a clock whatever the windows, and ceilings
@@ -93,13 +93,13 @@ def register_widths(inst: Instance) -> RegisterWidths:
 class QubitBudget:
     """Engineering qubit budget, component by component.
 
-    ``ancilla`` covers the bookkeeping the chains need beyond the named
-    registers: the max-selection spill registers (n * w_time), one adder
-    overflow flag per chained addition in the load and clock chains
-    (2 * (n - 1)), and the scratch pool the load, clock and cost chains share
-    (their widest register + 1 carry seed; the pair flags use no scratch).
-    Without a time chain, ``time`` is 0 and ``ancilla`` has no spill
-    registers and no clock overflow flags.
+    ``time`` is the n arrival clocks, a wait flag for every position but the
+    last and n window flags. ``ancilla`` covers the bookkeeping the chains
+    need beyond the named registers: one adder overflow flag per chained
+    addition in the load and clock chains (2 * (n - 1)), and the scratch
+    pool the load, clock and cost chains share (their widest register + 1
+    carry seed; the pair flags use no scratch). Without a time chain,
+    ``time`` is 0 and ``ancilla`` has no clock overflow flags.
     """
 
     tour: int
@@ -135,7 +135,7 @@ def qubit_budget(n: int, d_max: int, t_max: int | None, w_max: int) -> QubitBudg
         w_time = time = clock_overflow = 0
     else:
         w_time = bits_for(t_max)
-        time = n * w_time + 2 * n  # clocks, waited and time_ok flags
+        time = n * w_time + 2 * n - 1  # clocks, n - 1 waited and n time_ok flags
         clock_overflow = n - 1
     pool = max(w_cap, w_time, w_cost) + 1
     return QubitBudget(
@@ -146,7 +146,7 @@ def qubit_budget(n: int, d_max: int, t_max: int | None, w_max: int) -> QubitBudg
         time=time,
         cost=w_cost + 1,
         output=1,
-        ancilla=n * w_time + (n - 1) + clock_overflow + pool,
+        ancilla=(n - 1) + clock_overflow + pool,
     )
 
 

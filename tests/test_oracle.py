@@ -132,16 +132,15 @@ REGISTER_TABLES = {
             ("load_ok", 39, 4),
             ("load_overflow", 43, 3),
             *_per_position("clock", 46, 5, 4),
-            ("waited", 66, 4),
-            *_per_position("clock_spill", 70, 5, 4),
-            ("time_ok", 90, 4),
-            ("clock_overflow", 94, 3),
-            ("cost", 97, 7),
-            ("cost_ok", 104, 1),
-            ("marked", 105, 1),
-            ("pool", 106, 8),
+            ("waited", 66, 3),
+            ("time_ok", 69, 4),
+            ("clock_overflow", 73, 3),
+            ("cost", 76, 7),
+            ("cost_ok", 83, 1),
+            ("marked", 84, 1),
+            ("pool", 85, 8),
         ],
-        (26, 104, 105, 114),
+        (26, 83, 84, 93),
     ),
     "single_customer": (
         5,
@@ -167,8 +166,8 @@ def test_layout_register_table_pinned(name, request):
     """Register names, order, starts and widths, and the single-qubit flags:
     the dump pin covers the gates' qubit indices but not the names, which
     diagnostics read. Each layout field is the register of its name, n = 1
-    has no pair flags and no overflow registers, and vacuous windows (the
-    example and the single customer) have no time registers."""
+    has no pair flags, overflow registers or wait flags, and vacuous windows
+    (the example and the single customer) have no time registers."""
     k, table, flags = REGISTER_TABLES[name]
     inst = request.getfixturevalue(name)
     layout = build_layout(inst, k)
@@ -179,15 +178,15 @@ def test_layout_register_table_pinned(name, request):
     timed = not inst.windows_vacuous
     per_position = {"tour": "pos", "load": "load"}
     if timed:
-        per_position.update(clock="clock", clock_spill="clock_spill")
+        per_position.update(clock="clock")
     else:
-        assert layout.clock == layout.clock_spill == ()
+        assert layout.clock == ()
     for field, prefix in per_position.items():
         assert getattr(layout, field) == tuple(regs[f"{prefix}{i}"] for i in range(1, n + 1))
     singles = ("split", "in_range", "distinct", "load_ok", "load_overflow", "waited", "time_ok", "clock_overflow")
     for field in (*singles, "cost", "pool"):
         assert getattr(layout, field) == regs.get(field)
-    absent = set() if n > 1 else {"distinct", "load_overflow", "clock_overflow"}
+    absent = set() if n > 1 else {"distinct", "load_overflow", "waited", "clock_overflow"}
     if not timed:
         absent |= {"waited", "time_ok", "clock_overflow"}
     assert {f for f in singles if getattr(layout, f) is None} == absent
@@ -312,9 +311,9 @@ def test_time_chain_synthetic_examples():
     layout = build_layout(inst, 100)
     block = build_time_chain(layout)
     state = run_block_on(layout, block, (1, 2), (0, 1))
-    assert reg_value(layout, state, layout.clock[0]) == 8  # max(8, 5): waited
-    assert (state >> layout.waited.qubit(0)) & 1 == 1
-    assert reg_value(layout, state, layout.clock[1]) == 12  # 8 + 4
+    assert reg_value(layout, state, layout.clock[0]) == 5  # arrives at 5
+    assert (state >> layout.waited.qubit(0)) & 1 == 1  # 5 < 8: waits
+    assert reg_value(layout, state, layout.clock[1]) == 12  # departs at 8, + 4
     assert (state >> layout.time_ok.qubit(1)) & 1 == 0  # 12 > 10
     assert (state >> layout.time_ok.qubit(0)) & 1 == 1
 
@@ -335,16 +334,20 @@ def test_time_chain_vacuous_windows_always_pass(vacuous3):
 
 def test_time_chain_vacuous_windows_is_flags_only(vacuous3):
     """Vacuous windows cannot bind, so the chain needs not even the n flags:
-    the layout has none of the five time registers and the chain has no gate."""
+    the layout has none of the four time registers and the chain has no gate."""
     layout = build_layout(vacuous3, 100)
     assert not any(name.startswith(("clock", "waited", "time_ok")) for name in layout.registers)
-    assert (layout.clock, layout.clock_spill) == ((), ())
+    assert layout.clock == ()
     assert layout.waited is layout.time_ok is layout.clock_overflow is None
     assert layout.widths.w_time == 0
     assert build_time_chain(layout).gates == []
 
 
 def test_time_chain_matches_recurrence_exhaustively(window_bound3):
+    """Each clock holds the arrival, its window flag reads ``arrival <=
+    close`` and, before the last position, its wait flag ``arrival <
+    opening``; the next arrival starts from the departure, the later of the
+    two."""
     inst = window_bound3
     layout = build_layout(inst, 100)
     block = build_time_chain(layout)
@@ -360,18 +363,21 @@ def test_time_chain_matches_recurrence_exhaustively(window_bound3):
         P, y = unpack_assignment(n, layout.widths.b_node, s)
         regs = [int(register_values(out, layout.clock[i], count)[s]) for i in range(n)]
         oks = [(int(register_values(out, layout.time_ok, count)[s]) >> i) & 1 for i in range(n)]
-        reg_model = []
+        waits = [(int(register_values(out, layout.waited, count)[s]) >> i) & 1 for i in range(n - 1)]
+        departure = 0
         for i in range(n):
             open_at = inst.windows[P[i]][0] if 1 <= P[i] <= n else 0
             close_at = inst.windows[P[i]][1] if 1 <= P[i] <= n else 0
             if i == 0 or y[i - 1]:
-                candidate = from_depot[P[i]]
+                arrival = from_depot[P[i]]
             else:
                 leg = inst.T[P[i - 1]][P[i]] if (1 <= P[i] <= n and 1 <= P[i - 1] <= n and P[i] != P[i - 1]) else 0
-                candidate = (reg_model[-1] + leg) % (1 << w)
-            reg_model.append(max(candidate, open_at))
-            assert regs[i] == reg_model[i], (P, y, i)
-            assert oks[i] == (1 if reg_model[i] <= close_at else 0), (P, y, i)
+                arrival = (departure + leg) % (1 << w)
+            departure = max(arrival, open_at)
+            assert regs[i] == arrival, (P, y, i)
+            assert oks[i] == (1 if arrival <= close_at else 0), (P, y, i)
+            if i < n - 1:
+                assert waits[i] == (1 if arrival < open_at else 0), (P, y, i)
 
 
 def test_cost_accumulator_example_values(example6):
@@ -447,7 +453,7 @@ def test_example_oracle_structure(example6):
             "example6", 182, 4341, "f1c0d8d3fece5ca234489b54083ba3a16aa3a52f2bd14f65462d3ca7ef001c2c", id="example6-182"
         ),
         pytest.param(
-            "mixed4", 35, 2861, "b2b25914aad5e0ced4cca825aabcb4a40d843c76f71b521a91e032db8c20bb38", id="mixed4-35"
+            "mixed4", 35, 2719, "e282fd920d7a5da410ed50d11d61fd648b5edacde68396c40e70f3f657dc888b", id="mixed4-35"
         ),
     ],
 )
@@ -464,13 +470,13 @@ def test_oracle_dump_pinned(name, k, gates, digest, request):
 # value-range model bounds only the addend of each ripple block; these gates
 # need the range of the other operand too: the first load, copied into the
 # pool as a whole register; the load, clock and cost registers, whose high
-# bits stay zero below their bounds; and the clock chain's max steps, which
-# depend on how the windows fall.
+# bits stay zero below their bounds; and the clock chain's wait flags and
+# departure steps, which depend on how the windows fall.
 NEVER_FIRED = {
-    "windowed_pair": [143, 146, 142],
+    "windowed_pair": [115, 118, 114],
     "cap_bound3": [23, 22, 22],
-    "window_bound3": [151, 150, 150],
-    "mixed4": [167, 166, 166],
+    "window_bound3": [125, 124, 124],
+    "mixed4": [135, 134, 134],
 }
 
 
@@ -858,6 +864,37 @@ def test_equivalence_scan_catches_chain_faults(fault, request, monkeypatch):
     assert all(r.clean for r in reports)
     assert any(r.mismatches for r in faulty), fault
     assert all(r.dirty_ancillas == 0 and r.decision_changed == 0 for r in faulty)
+
+
+def _depart_at_arrival(builder):
+    """``builder`` without the CCXs that are controlled by the pool qubit
+    above the clock width and target a clock register: the steps that swap
+    a carried-on arrival for the opening, so a route never waits. The same
+    filter takes the first rung of each wait comparator, which only changes
+    the wait flags those steps read."""
+
+    def faulty(layout):
+        c = builder(layout)
+        seed = (layout.pool.qubit(layout.widths.w_time), True)
+        clocks = {q for ref in layout.clock for q in ref.qubits()}
+        c.gates = [g for g in c.gates if not (len(g.controls) == 2 and seed in g.controls and g.target in clocks)]
+        return c
+
+    return faulty
+
+
+@pytest.mark.parametrize("name", ["windowed_pair", "binding4"])
+def test_equivalence_scan_catches_departure_at_arrival(name, request, monkeypatch):
+    """A route that waits for an opening departs at the opening: with the
+    departure steps removed, it departs at its arrival, and the exhaustive
+    scan at k = 10^6 must find a wrongly marked state. The other fixtures'
+    scans miss this fault."""
+    inst = binding_instance(random.Random(5), 4) if name == "binding4" else request.getfixturevalue(name)
+    assert equivalence_scan(inst, 10**6).clean
+    monkeypatch.setattr(oracle, "build_time_chain", _depart_at_arrival(oracle.build_time_chain))
+    report = equivalence_scan(inst, 10**6)
+    assert report.mismatches > 0
+    assert report.dirty_ancillas == report.decision_changed == 0
 
 
 @pytest.mark.parametrize("after_mark", ["first", "middle", "last"])

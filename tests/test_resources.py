@@ -9,6 +9,7 @@ from cvrptw_gas.circuit import Circuit
 from cvrptw_gas.oracle import build_layout
 from cvrptw_gas.resources import (
     QUOTED_SIX_CUSTOMER_QUBITS,
+    QubitBudget,
     cost_register_bound,
     cost_upper_bound,
     emit_plot_data,
@@ -92,10 +93,64 @@ def test_budget_total_matches_layout_for_small_n(example6):
         assert instance_budget(inst).total == layout.qubit_count == qubits
 
 
+# The budget component each layout register counts toward, by register name
+# without its position number.
+COMPONENT = {
+    "pos": "tour",
+    "split": "splits",
+    "in_range": "all_different",
+    "distinct": "all_different",
+    "valid_tour": "all_different",
+    "load": "capacity",
+    "load_ok": "capacity",
+    "clock": "time",
+    "waited": "time",
+    "time_ok": "time",
+    "cost": "cost",
+    "cost_ok": "cost",
+    "marked": "output",
+    "load_overflow": "ancilla",
+    "clock_overflow": "ancilla",
+    "pool": "ancilla",
+}
+
+
+def layout_budget(layout):
+    """The layout's qubits summed per budget component."""
+    widths = dict.fromkeys(set(COMPONENT.values()), 0)
+    for name, ref in layout.registers.items():
+        widths[COMPONENT[name.rstrip("0123456789")]] += ref.width
+    return QubitBudget(**widths)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "single_customer",
+        "windowed_pair",
+        "example6",
+        "cap_bound3",
+        "window_bound3",
+        "mixed4",
+        "vacuous3",
+        "bound7",
+        "bound8",
+    ],
+)
+def test_budget_components_match_layout(name, request):
+    """Each budget component counts exactly the qubits of its registers, so a
+    term moved from one component to another shows up even when the total
+    still agrees."""
+    inst = request.getfixturevalue(name)
+    layout = build_layout(inst, 10**6)
+    assert instance_budget(inst) == layout_budget(layout)
+    assert instance_budget(inst).total == layout.qubit_count
+
+
 def test_budget_total_matches_layout_on_random_instances():
     """Five vacuous and five windowed random instances for each n = 1..6, at
     three thresholds each: the budget counts exactly the qubits the layout
-    allocates, with or without a time chain."""
+    allocates, component by component, with or without a time chain."""
     rng = random.Random(23)
     kinds = set()
     for n in range(1, 7):
@@ -105,19 +160,21 @@ def test_budget_total_matches_layout_on_random_instances():
             budget = instance_budget(inst)
             assert (budget.time == 0) == inst.windows_vacuous
             for k in (0, rng.randint(1, 100), 10**6):
-                assert budget.total == build_layout(inst, k).qubit_count, (n, with_windows, k)
+                layout = build_layout(inst, k)
+                assert budget == layout_budget(layout), (n, with_windows, k)
+                assert budget.total == layout.qubit_count, (n, with_windows, k)
     assert kinds == {False, True}
 
 
 def test_budget_dominates_figure_expression_at_desk_scale():
     """The integer budget exceeds the smooth expression while bookkeeping
-    qubits (spills, overflow flags, scratch) outweigh the pairwise-flag
-    difference: the budget allocates n(n-1)/2 inequality flags where the
-    smooth expression charges n^2, so beyond the crossover (n = 15 at these
+    qubits (overflow flags, scratch) outweigh the pairwise-flag difference:
+    the budget allocates n(n-1)/2 inequality flags where the smooth
+    expression charges n^2, so beyond the crossover (n = 10 at these
     parameters) the smooth curve overtakes the real allocation."""
-    for n in range(2, 15):
+    for n in range(2, 10):
         assert qubit_budget(n, 8, 8, 512).total >= figure_expression(n, 8, 8, 512)
-    assert qubit_budget(15, 8, 8, 512).total < figure_expression(15, 8, 8, 512)
+    assert qubit_budget(10, 8, 8, 512).total < figure_expression(10, 8, 8, 512)
     # asymptotically the real layout needs about half the smooth n^2 term
     assert qubit_budget(200, 8, 8, 512).total < figure_expression(200, 8, 8, 512)
 
