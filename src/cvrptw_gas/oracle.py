@@ -50,7 +50,12 @@ input unchanged, and the layout with it:
   bits of the running bound on the cost;
 * each adder is given the bits its pool value can hold, read off the
   gates that write the value into the clean pool, and emits no MAJ/UMA
-  gate whose controls cannot all be 1.
+  gate whose controls cannot all be 1;
+* each pair lookup (a travel time or a direct leg) writes ``S[P_{i-1}]``
+  and ``S[P_i]``, each gated by the other position's in-range flag, and a
+  residual over distinct pairs (:func:`~cvrptw_gas.qarith.build_pair_matrix_encoder`).
+  The uniqueness chain computes those flags first and clears them last, so
+  the time and cost chains read them with no register added.
 
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
@@ -216,7 +221,8 @@ def _add_through_pool(
 
 def build_uniqueness(layout: OracleLayout) -> Circuit:
     """Range flags for every position, inequality flags for every pair, and
-    their conjunction in the tour-validity qubit."""
+    their conjunction in the tour-validity qubit. The time and cost chains'
+    pair lookups read the range flags, so this chain runs before them."""
     inst = layout.inst
     n = inst.n
     c = layout.empty_circuit()
@@ -266,6 +272,9 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     XOR. When the windows are vacuous (:attr:`Instance.windows_vacuous`),
     no route can wait, pass a close or wrap the clock, so the layout has no
     time register and the chain is empty.
+
+    The leg lookups read the in-range flags of :func:`build_uniqueness`,
+    which must have run first.
     """
     inst = layout.inst
     n = inst.n
@@ -305,7 +314,13 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
         c.ccx(carry_on, (waited, True), swap)
         c.extend(build_conditional_encoder(layout.tour[i], opening, window))
         leg = build_pair_matrix_encoder(
-            layout.tour[i], layout.tour[i + 1], inst.T, inst.customers, window, controls=[carry_on]
+            layout.tour[i],
+            layout.tour[i + 1],
+            inst.T,
+            inst.customers,
+            window,
+            in_range=(layout.in_range.qubit(i), layout.in_range.qubit(i + 1)),
+            controls=[carry_on],
         )
         _add_through_pool(c, layout, leg, nxt, layout.clock_overflow.qubit(i))
     return c
@@ -315,7 +330,8 @@ def build_exit_leg_encoder(layout: OracleLayout, i: int, out: RegisterRef) -> Ci
     """``out ^=`` the leg that leaves position ``i - 1`` (``i >= 1``): the
     return ``D[P_{i-1}][0]`` when split bit ``i - 1`` is set, else the direct
     leg ``D[P_{i-1}][P_i]``. The two encoders have opposite split controls,
-    so exactly one of them writes."""
+    so exactly one of them writes. The direct leg reads the in-range flags
+    of :func:`build_uniqueness`, which must have run first."""
     inst = layout.inst
     restart = (layout.split.qubit(i - 1), True)
     carry_on = (layout.split.qubit(i - 1), False)
@@ -323,7 +339,15 @@ def build_exit_leg_encoder(layout: OracleLayout, i: int, out: RegisterRef) -> Ci
     c = layout.empty_circuit()
     c.extend(build_conditional_encoder(layout.tour[i - 1], back_home, out, controls=[restart]))
     c.extend(
-        build_pair_matrix_encoder(layout.tour[i - 1], layout.tour[i], inst.D, inst.customers, out, controls=[carry_on])
+        build_pair_matrix_encoder(
+            layout.tour[i - 1],
+            layout.tour[i],
+            inst.D,
+            inst.customers,
+            out,
+            in_range=(layout.in_range.qubit(i - 1), layout.in_range.qubit(i)),
+            controls=[carry_on],
+        )
     )
     return c
 
@@ -343,6 +367,8 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     the same bits. The last bound is
     :func:`~cvrptw_gas.resources.cost_register_bound`, which sizes the
     register, so the last adder and the comparator run over all of it.
+    The direct legs read the in-range flags of :func:`build_uniqueness`,
+    which must have run first.
     """
     inst = layout.inst
     n = inst.n

@@ -2,7 +2,9 @@
 
 Everything is built from the MAJ/UMA ripple-carry pieces of Cuccaro-style
 addition, a per-index fan-out encoder, and plain multi-controlled X gates
-(X itself is the one with no controls).
+(X itself is the one with no controls). A pair-matrix lookup is two
+one-index fan-outs and a per-pair residual, an XOR-of-products form that
+needs each index's in-range flag from the caller.
 Each builder returns a block circuit over absolute qubit indices, just wide
 enough for the qubits it touches, so blocks can be concatenated into any
 wider host circuit (:meth:`Circuit.extend`) and mirrored for uncomputation.
@@ -33,7 +35,10 @@ unless noted):
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
+
+import numpy as np
 
 from .circuit import Circuit, CircuitError, Gate, RegisterRef, inverse
 
@@ -307,31 +312,38 @@ def build_max_with_const(
 
 
 def _encode_rows(
+    c: Circuit,
     index: Sequence[int],
     rows,
     out: RegisterRef,
-    controls: Sequence[tuple[int, bool]],
-    qubit_count: int | None,
-    label: str,
-) -> Circuit:
-    """``out ^= value`` for each ``(code, value)`` row while the ``index``
-    qubits read ``code`` (bit j on ``index[j]``) and every extra control holds:
-    one MCX per set bit of the value, all gates of a row sharing one controls
-    tuple. Zero values emit nothing. The control qubits are checked against
-    every output bit once, for the whole encoder."""
-    c = _blank(qubit_count, out, *index, *(q for q, _ in controls))
+    extra: tuple[tuple[int, bool], ...],
+) -> None:
+    """Append to ``c``: ``out ^= value`` for each ``(code, value)`` row while
+    the ``index`` qubits read ``code`` (bit j on ``index[j]``) and every
+    ``extra`` control holds: one MCX per set bit of the value, all gates of
+    a row sharing one controls tuple. Zero values emit nothing. The caller
+    checks that every value fits ``out`` and, once, the control qubits
+    against every output bit (:meth:`Circuit.checked_controls`)."""
     targets = tuple(out.qubits())
-    checked = c.checked_controls([*((q, False) for q in index), *controls], targets)
-    polarized = [((q, False), (q, True)) for q, _ in checked[: len(index)]]
-    extra = checked[len(polarized) :]
+    polarized = [((q, False), (q, True)) for q in index]
     for code, entry in rows:
         if entry == 0:
             continue
-        if not 0 <= entry < (1 << out.width):
-            raise CircuitError(f"{label} value {entry} does not fit {out.width} bits")
-        pattern = tuple(pair[(code >> j) & 1] for j, pair in enumerate(polarized)) + extra
-        c.gates.extend(Gate("mcx", t, pattern) for j, t in enumerate(targets) if (entry >> j) & 1)
-    return c
+        pattern = (*[pair[code >> j & 1] for j, pair in enumerate(polarized)], *extra)
+        c.gates.extend([Gate("mcx", targets[j], pattern) for j in range(entry.bit_length()) if entry >> j & 1])
+
+
+def _checked_block(
+    qubit_count: int | None,
+    out: RegisterRef,
+    index: Sequence[int],
+    controls: Sequence[tuple[int, bool]],
+) -> tuple[Circuit, tuple[tuple[int, bool], ...]]:
+    """An empty encoder block and its extra ``controls``, checked in one
+    pass with the ``index`` qubits against every output bit."""
+    c = _blank(qubit_count, out, *index, *(q for q, _ in controls))
+    checked = c.checked_controls([*((q, False) for q in index), *controls], tuple(out.qubits()))
+    return c, checked[len(index) :]
 
 
 def build_conditional_encoder(
@@ -350,7 +362,55 @@ def build_conditional_encoder(
     """
     if len(table) > (1 << idx.width):
         raise CircuitError("table longer than the index register can address")
-    return _encode_rows(idx.qubits(), enumerate(table), out, controls, qubit_count, "table")
+    c, extra = _checked_block(qubit_count, out, idx.qubits(), controls)
+    for entry in table:
+        if not 0 <= entry < (1 << out.width):
+            raise CircuitError(f"table value {entry} does not fit {out.width} bits")
+    _encode_rows(c, idx.qubits(), enumerate(table), out, extra)
+    return c
+
+
+# Valid indices up to which the row split of a pair lookup is searched over
+# all 2^n subsets; an oracle the CLI can check has at most 12 customers.
+_SPLIT_SEARCH_CAP = 12
+
+
+@functools.lru_cache(maxsize=64)
+def _row_split(
+    matrix: tuple[tuple[int, ...], ...], valid: range, width: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """The split ``M[u][v] = S[u] ^ S[v] ^ R[u][v]`` over distinct valid pairs
+    that leaves the fewest gates, as the rows ``(u, S[u])`` and the cells
+    ``(u, v, R[u][v])`` that are not zero. Refuses a value that does not fit
+    ``width`` bits.
+
+    Per output bit, ``S`` sets the bit on the subset of ``valid`` that
+    minimises ``2 * |S| + |R|``. Subsets are tried in the order of the
+    binary numbers whose bit i stands for the i-th valid index, and the first
+    minimum is taken. The empty subset is a candidate, so the split never
+    costs more gates than the per-cell form. Above
+    :data:`_SPLIT_SEARCH_CAP` indices every ``S[u]`` is 0."""
+    cells = [(u, v, matrix[u][v]) for u in valid for v in valid if u != v]
+    for *_, value in cells:
+        if not 0 <= value < (1 << width):
+            raise CircuitError(f"matrix value {value} does not fit {width} bits")
+    m = len(valid)
+    top = max((value for *_, value in cells), default=0).bit_length()
+    split = dict.fromkeys(valid, 0)
+    if m <= _SPLIT_SEARCH_CAP and top:
+        planes = np.array([[[matrix[u][v] >> j & 1 for j in range(top)] for v in valid] for u in valid])
+        a, b = np.triu_indices(m, 1)
+        both = planes[a, b] + planes[b, a]  # per unordered pair and bit: set bits among its two cells
+        member = np.arange(1 << m)[:, None] >> np.arange(m) & 1  # per subset: is index i in it
+        # Where a pair's two indices take different sides, the S bits flip
+        # both of its cells, so c set bits become 2 - c.
+        cost = 2 * member.sum(1)[:, None] + both.sum(0) + (member[:, a] ^ member[:, b]) @ (2 - 2 * both)
+        best = [int(s) for s in cost.argmin(0)]
+        for i, u in enumerate(valid):
+            split[u] = sum((s >> i & 1) << j for j, s in enumerate(best))
+    rows = tuple((u, row) for u, row in split.items() if row)
+    residual = tuple((u, v, r) for u, v, value in cells if (r := value ^ split[u] ^ split[v]))
+    return rows, residual
 
 
 def build_pair_matrix_encoder(
@@ -360,17 +420,30 @@ def build_pair_matrix_encoder(
     valid: range,
     out: RegisterRef,
     *,
+    in_range: tuple[int, int],
     controls: Sequence[tuple[int, bool]] = (),
     qubit_count: int | None = None,
 ) -> Circuit:
-    """``out ^= matrix[idx_a][idx_b]`` over pairs of distinct valid indices.
+    """``out ^= matrix[idx_a][idx_b]`` over pairs of distinct valid indices,
+    and 0 for every other input; ``in_range`` holds the qubits that read
+    ``idx_a in valid`` and ``idx_b in valid``.
 
-    Pairs with a repeated index are skipped: repeats are rejected elsewhere,
-    so their encoded value never matters.
+    The matrix is split as ``M[u][v] = S[u] ^ S[v] ^ R[u][v]``
+    (:func:`_row_split`) and written in three parts, each under the extra
+    ``controls``: ``S[idx_a]`` gated by the flag of ``idx_b``, ``S[idx_b]``
+    gated by the flag of ``idx_a``, and one row of ``R`` per distinct valid
+    pair. A repeated index writes ``S[u] ^ S[u] = 0``, and an index outside
+    ``valid`` has no ``S`` row and cuts the other one off by its flag.
     """
+    flag_a, flag_b = in_range
+    c, extra = _checked_block(qubit_count, out, [*idx_a.qubits(), *idx_b.qubits(), flag_a, flag_b], controls)
+    rows, residual = _row_split(tuple(map(tuple, matrix)), valid, out.width)
+    _encode_rows(c, idx_a.qubits(), rows, out, ((flag_b, True), *extra))
+    _encode_rows(c, idx_b.qubits(), rows, out, ((flag_a, True), *extra))
     # The index pattern of a pair is idx_a's bits of u, then idx_b's bits of v.
-    rows = ((u | v << idx_a.width, matrix[u][v]) for u in valid for v in valid if u != v)
-    return _encode_rows([*idx_a.qubits(), *idx_b.qubits()], rows, out, controls, qubit_count, "matrix")
+    cells = ((u | v << idx_a.width, r) for u, v, r in residual)
+    _encode_rows(c, [*idx_a.qubits(), *idx_b.qubits()], cells, out, extra)
+    return c
 
 
 def build_pair_neq(

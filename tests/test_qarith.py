@@ -293,8 +293,11 @@ def test_encoder_value_overflow():
     out_reg = host.add_register("out", 2)
     with pytest.raises(CircuitError, match=r"^table value 4 does not fit 2 bits$"):
         build_conditional_encoder(idx_reg, [0, 4], out_reg)
+    flags = host.add_register("flags", 2)
     with pytest.raises(CircuitError, match=r"^matrix value 5 does not fit 2 bits$"):
-        build_pair_matrix_encoder(idx_reg.slice(0, 1), idx_reg.slice(1, 1), [[0, 5], [1, 0]], range(2), out_reg)
+        build_pair_matrix_encoder(
+            idx_reg.slice(0, 1), idx_reg.slice(1, 1), [[0, 5], [1, 0]], range(2), out_reg, in_range=tuple(flags.qubits())
+        )
 
 
 def test_encoder_refuses_controls_on_its_output():
@@ -317,21 +320,44 @@ def test_encoder_refuses_controls_on_its_output():
         build_conditional_encoder(idx_reg.slice(0, 2), [1, 2], flag, controls=[(0, True)])
 
 
+def pair_lookup(width, matrix, valid, out_width, polarities=()):
+    """A host whose first ``2 * width`` qubits are the indices ``a`` and
+    ``b``, then one control qubit, and a block that computes the in-range
+    flags of both indices with table encoders and runs the pair lookup,
+    controlled by that qubit at each of ``polarities``."""
+    host = Circuit()
+    a = host.add_register("a", width)
+    b = host.add_register("b", width)
+    ctl = host.add_register("ctl", 1)
+    flags = host.add_register("in_range", 2)
+    out_reg = host.add_register("out", out_width)
+    in_valid = [int(code in valid) for code in range(1 << width)]
+    block = Circuit(host.qubit_count)
+    block.extend(build_conditional_encoder(a, in_valid, flags.slice(0, 1)))
+    block.extend(build_conditional_encoder(b, in_valid, flags.slice(1, 1)))
+    lookup = build_pair_matrix_encoder(
+        a, b, matrix, valid, out_reg, in_range=tuple(flags.qubits()), controls=[(ctl.qubit(0), p) for p in polarities]
+    )
+    block.extend(lookup)
+    return host, block, lookup, (a, b, out_reg)
+
+
 @pytest.mark.parametrize("polarity", [True, False])
 def test_pair_matrix_encoder_exhaustive(polarity):
     """``out ^= matrix[u][v]`` for distinct u, v in the valid range when the
-    control reads ``polarity``; every other input leaves ``out`` zero."""
+    control reads ``polarity``; every other input, repeated and out-of-range
+    codes included, leaves ``out`` zero. The matrix is a row/column sum plus
+    noise, so its lookup writes both one-index tables and a residual."""
     rng = random.Random(int(polarity))
-    matrix = [[rng.randrange(16) for _ in range(8)] for _ in range(8)]
+    base = [rng.randrange(16) for _ in range(8)]
+    matrix = [[base[u] ^ base[v] ^ (rng.randrange(16) if rng.random() < 0.3 else 0) for v in range(8)] for u in range(8)]
+    for u in range(8):
+        matrix[u][u] = rng.randrange(16)  # never read
     valid = range(1, 7)
-    host = Circuit()
-    a = host.add_register("a", 3)
-    b = host.add_register("b", 3)
-    ctl = host.add_register("ctl", 1)
-    out_reg = host.add_register("out", 4)
-    block = build_pair_matrix_encoder(
-        a, b, matrix, valid, out_reg, controls=[(ctl.qubit(0), polarity)], qubit_count=host.qubit_count
-    )
+    host, block, lookup, (a, b, out_reg) = pair_lookup(3, matrix, valid, 4, polarities=[polarity])
+    flags = set(host.registers["in_range"].qubits())
+    split = sum(any(q in flags for q, _ in g.controls) for g in lookup.gates)
+    assert 0 < split < len(lookup.gates)
     out, count = run_exhaustive(host, block, 7)
     got = register_values(out, out_reg, count)
     for s in range(count):
@@ -340,6 +366,42 @@ def test_pair_matrix_encoder_exhaustive(polarity):
         assert got[s] == expect, (u, v, s >> 6)
     assert (register_values(out, a, count) == np.arange(count) & 7).all()
     assert (register_values(out, b, count) == (np.arange(count) >> 3) & 7).all()
+
+
+def _fewest_split_gates(matrix, valid):
+    """The fewest gates of any row/column split, by direct enumeration: per
+    output bit, 2 gates per index whose row table sets the bit and 1 per
+    distinct valid pair whose residual still has it."""
+    pairs = [(u, v) for u in valid for v in valid if u != v]
+    total = 0
+    for j in range(max(matrix[u][v] for u, v in pairs).bit_length()):
+        best = None
+        for mask in range(1 << len(valid)):
+            side = {u: mask >> i & 1 for i, u in enumerate(valid)}
+            gates = 2 * sum(side.values()) + sum((matrix[u][v] >> j & 1) ^ side[u] ^ side[v] for u, v in pairs)
+            best = gates if best is None else min(best, gates)
+        total += best
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_matrix_split_never_adds_gates(n):
+    """Over random matrices, uniform and row/column sums with noise, the
+    lookup never has more gates than the per-cell form, one per set bit of
+    each distinct valid pair; up to four indices it has exactly the fewest
+    of any split."""
+    rng = random.Random(n)
+    width = max(1, n.bit_length())
+    valid = range(1, n + 1)
+    for trial in range(12):
+        base = [rng.randrange(64) for _ in range(n + 1)]
+        noise = lambda: rng.randrange(64) if rng.random() < 0.5 else 0
+        matrix = [[(base[u] ^ base[v] if trial % 2 else 0) ^ noise() for v in range(n + 1)] for u in range(n + 1)]
+        _, _, lookup, _ = pair_lookup(width, matrix, valid, 6)
+        per_cell = sum(matrix[u][v].bit_count() for u in valid for v in valid if u != v)
+        assert len(lookup.gates) <= per_cell
+        if 2 <= n <= 4 and per_cell:
+            assert len(lookup.gates) == _fewest_split_gates(matrix, valid)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
