@@ -51,11 +51,18 @@ input unchanged, and the layout with it:
 * each adder is given the bits its pool value can hold, read off the
   gates that write the value into the clean pool, and emits no MAJ/UMA
   gate whose controls cannot all be 1;
-* each pair lookup (a travel time or a direct leg) writes ``S[P_{i-1}]``
-  and ``S[P_i]``, each gated by the other position's in-range flag, and a
-  residual over distinct pairs (:func:`~cvrptw_gas.qarith.build_pair_matrix_encoder`).
-  The uniqueness chain computes those flags first and clears them last, so
-  the time and cost chains read them with no register added.
+* each pair lookup (a travel time or a direct leg) writes ``S[P_{i-1}]``,
+  ``S[P_i]`` and a residual over distinct pairs
+  (:func:`~cvrptw_gas.qarith.build_pair_matrix_encoder`).
+
+One invariant governs the capacity, time and cost chains. The mark gate
+has ``valid_tour`` as a positive control, no chain after the uniqueness
+chain writes its registers, and :func:`build_oracle` is compute, then mark,
+then the inverse of compute, which clears every work register whatever the
+compute phase wrote. So those chains need to be exact only on well-formed
+tours, whose codes are a permutation of 1..n: on any other tour their
+registers may hold anything and the mark stays 0. They read no uniqueness
+flag, and their order does not matter.
 
 ``mark_predicate`` is the pure classical twin of the circuit and is kept
 structurally independent of both the circuit and the other classical
@@ -221,8 +228,7 @@ def _add_through_pool(
 
 def build_uniqueness(layout: OracleLayout) -> Circuit:
     """Range flags for every position, inequality flags for every pair, and
-    their conjunction in the tour-validity qubit. The time and cost chains'
-    pair lookups read the range flags, so this chain runs before them."""
+    their conjunction in the tour-validity qubit."""
     inst = layout.inst
     n = inst.n
     c = layout.empty_circuit()
@@ -272,9 +278,6 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
     XOR. When the windows are vacuous (:attr:`Instance.windows_vacuous`),
     no route can wait, pass a close or wrap the clock, so the layout has no
     time register and the chain is empty.
-
-    The leg lookups read the in-range flags of :func:`build_uniqueness`,
-    which must have run first.
     """
     inst = layout.inst
     n = inst.n
@@ -319,7 +322,6 @@ def build_time_chain(layout: OracleLayout) -> Circuit:
             inst.T,
             inst.customers,
             window,
-            in_range=(layout.in_range.qubit(i), layout.in_range.qubit(i + 1)),
             controls=[carry_on],
         )
         _add_through_pool(c, layout, leg, nxt, layout.clock_overflow.qubit(i))
@@ -330,8 +332,7 @@ def build_exit_leg_encoder(layout: OracleLayout, i: int, out: RegisterRef) -> Ci
     """``out ^=`` the leg that leaves position ``i - 1`` (``i >= 1``): the
     return ``D[P_{i-1}][0]`` when split bit ``i - 1`` is set, else the direct
     leg ``D[P_{i-1}][P_i]``. The two encoders have opposite split controls,
-    so exactly one of them writes. The direct leg reads the in-range flags
-    of :func:`build_uniqueness`, which must have run first."""
+    so exactly one of them writes."""
     inst = layout.inst
     restart = (layout.split.qubit(i - 1), True)
     carry_on = (layout.split.qubit(i - 1), False)
@@ -345,7 +346,6 @@ def build_exit_leg_encoder(layout: OracleLayout, i: int, out: RegisterRef) -> Ci
             inst.D,
             inst.customers,
             out,
-            in_range=(layout.in_range.qubit(i - 1), layout.in_range.qubit(i)),
             controls=[carry_on],
         )
     )
@@ -361,14 +361,12 @@ def build_cost_accumulator(layout: OracleLayout) -> Circuit:
     leaving the previous customer (:func:`build_exit_leg_encoder`) and, on a
     fresh route, the leg out of the depot; the return of the last customer
     closes the tour. Every adder runs over just the bits of its running
-    bound, the sum of the maxima of the tables added so far. No assignment,
-    malformed ones included, can exceed that bound, so the higher cost bits
-    stay zero and the next pool qubit seeds the carry; the comparator reads
-    the same bits. The last bound is
+    bound, the sum of the maxima of the tables added so far, and the next
+    pool qubit seeds the carry; the comparator reads the same bits. No
+    well-formed tour exceeds that bound. A malformed one may wrap inside an
+    adder's bits, but no gate writes above them. The last bound is
     :func:`~cvrptw_gas.resources.cost_register_bound`, which sizes the
     register, so the last adder and the comparator run over all of it.
-    The direct legs read the in-range flags of :func:`build_uniqueness`,
-    which must have run first.
     """
     inst = layout.inst
     n = inst.n

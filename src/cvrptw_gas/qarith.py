@@ -3,8 +3,8 @@
 Everything is built from the MAJ/UMA ripple-carry pieces of Cuccaro-style
 addition, a per-index fan-out encoder, and plain multi-controlled X gates
 (X itself is the one with no controls). A pair-matrix lookup is two
-one-index fan-outs and a per-pair residual, an XOR-of-products form that
-needs each index's in-range flag from the caller.
+one-index fan-outs and a per-pair residual, an XOR-of-products form that is
+exact on distinct valid pairs.
 Each builder returns a block circuit over absolute qubit indices, just wide
 enough for the qubits it touches, so blocks can be concatenated into any
 wider host circuit (:meth:`Circuit.extend`) and mirrored for uncomputation.
@@ -27,9 +27,9 @@ unless noted):
 * ``build_add_const``       width + 1 (constant image + carry seed)
 * ``build_leq_const``/``build_lt_const``  width + 1
 * ``build_max_with_const``  2 * width + 1 (constant image + spill + seed);
-  the spill slice keeps the overwritten register value whenever the choice
-  flag fires -- that residue is information the overwrite cannot destroy, so
-  only a mirrored uncompute can clear it.
+  the image is cleared, but the spill slice keeps the overwritten register
+  value whenever the choice flag fires -- that residue is information the
+  overwrite cannot destroy, so only a mirrored uncompute can clear it.
 * ``build_pair_neq``        none (``b`` holds ``a XOR b`` in place)
 """
 
@@ -253,34 +253,6 @@ def build_leq_register(
     return c
 
 
-def build_max_with_register(
-    t: RegisterRef,
-    value: RegisterRef,
-    choice: int,
-    spill: RegisterRef,
-    seed: RegisterRef,
-    *,
-    qubit_count: int | None = None,
-) -> Circuit:
-    """``choice ^= (t < value)``; when the flag fires, ``t := value``.
-
-    The displaced register contents move into ``spill`` (same width as ``t``),
-    which therefore ends dirty exactly when ``choice`` is set. ``value`` is
-    only read.
-    """
-    if t.width != value.width or spill.width != t.width:
-        raise CircuitError("max operands and spill must share one width")
-    c = _blank(qubit_count, t, value, spill, seed, choice)
-    c.extend(build_lt_register(t, value, choice, seed))
-    for j in range(t.width):
-        c.ccx(choice, t.qubit(j), spill.qubit(j))
-    for j in range(t.width):
-        c.ccx(choice, spill.qubit(j), t.qubit(j))
-    for j in range(t.width):
-        c.ccx(choice, value.qubit(j), t.qubit(j))
-    return c
-
-
 def build_max_with_const(
     t: RegisterRef,
     k: int,
@@ -292,7 +264,9 @@ def build_max_with_const(
     """In-place ``t := max(t, k)`` with ``choice ^= (t < k)``.
 
     Ancilla layout: ``[0, w)`` images the constant, ``[w, 2w)`` is the spill
-    slice (dirty iff the overwrite fired), ``2w`` is the comparator seed.
+    slice, ``2w`` is the comparator seed. Where the flag fires, ``t`` moves
+    into the spill, which therefore ends dirty exactly then, and the
+    constant is copied into the cleared ``t``.
     """
     w = t.width
     if not 0 <= k < (1 << w):
@@ -304,9 +278,14 @@ def build_max_with_const(
         raise CircuitError("max gadget needs 2 * width + 1 ancilla qubits")
     image = ancilla.slice(0, w)
     spill = ancilla.slice(w, w)
-    seed = ancilla.slice(2 * w, 1)
     _load_const(c, image, k)
-    c.extend(build_max_with_register(t, image, choice, spill, seed))
+    c.extend(build_lt_register(t, image, choice, ancilla.slice(2 * w, 1)))
+    for j in range(w):
+        c.ccx(choice, t.qubit(j), spill.qubit(j))
+    for j in range(w):
+        c.ccx(choice, spill.qubit(j), t.qubit(j))
+    for j in range(w):
+        c.ccx(choice, image.qubit(j), t.qubit(j))
     _load_const(c, image, k)
     return c
 
@@ -420,26 +399,23 @@ def build_pair_matrix_encoder(
     valid: range,
     out: RegisterRef,
     *,
-    in_range: tuple[int, int],
     controls: Sequence[tuple[int, bool]] = (),
     qubit_count: int | None = None,
 ) -> Circuit:
     """``out ^= matrix[idx_a][idx_b]`` over pairs of distinct valid indices,
-    and 0 for every other input; ``in_range`` holds the qubits that read
-    ``idx_a in valid`` and ``idx_b in valid``.
+    and 0 when the two indices are equal.
 
     The matrix is split as ``M[u][v] = S[u] ^ S[v] ^ R[u][v]``
     (:func:`_row_split`) and written in three parts, each under the extra
-    ``controls``: ``S[idx_a]`` gated by the flag of ``idx_b``, ``S[idx_b]``
-    gated by the flag of ``idx_a``, and one row of ``R`` per distinct valid
-    pair. A repeated index writes ``S[u] ^ S[u] = 0``, and an index outside
-    ``valid`` has no ``S`` row and cuts the other one off by its flag.
+    ``controls``: ``S[idx_a]``, ``S[idx_b]``, and one row of ``R`` per
+    distinct valid pair. A repeated index writes ``S[u] ^ S[u] = 0``. An
+    index outside ``valid`` has no ``S`` row, so the block writes the other
+    index's ``S`` row there: callers need the result only on valid indices.
     """
-    flag_a, flag_b = in_range
-    c, extra = _checked_block(qubit_count, out, [*idx_a.qubits(), *idx_b.qubits(), flag_a, flag_b], controls)
+    c, extra = _checked_block(qubit_count, out, [*idx_a.qubits(), *idx_b.qubits()], controls)
     rows, residual = _row_split(tuple(map(tuple, matrix)), valid, out.width)
-    _encode_rows(c, idx_a.qubits(), rows, out, ((flag_b, True), *extra))
-    _encode_rows(c, idx_b.qubits(), rows, out, ((flag_a, True), *extra))
+    _encode_rows(c, idx_a.qubits(), rows, out, extra)
+    _encode_rows(c, idx_b.qubits(), rows, out, extra)
     # The index pattern of a pair is idx_a's bits of u, then idx_b's bits of v.
     cells = ((u | v << idx_a.width, r) for u, v, r in residual)
     _encode_rows(c, [*idx_a.qubits(), *idx_b.qubits()], cells, out, extra)

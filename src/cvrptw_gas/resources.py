@@ -46,12 +46,12 @@ def cost_upper_bound(inst: Instance) -> int:
 
 
 def cost_register_bound(inst: Instance) -> int:
-    """The largest value the oracle's cost accumulator can reach on any
-    assignment, malformed ones included: the largest leg out of the depot,
-    then per later position the largest leg leaving a customer (a return or
-    a direct leg) plus the largest leg out of the depot, then the largest
-    return. An out-of-range code reads every table as 0, so it only lowers
-    a sum."""
+    """The largest value the oracle's cost accumulator can reach on a
+    well-formed tour: the largest leg out of the depot, then per later
+    position the largest leg leaving a customer (a return or a direct leg)
+    plus the largest leg out of the depot, then the largest return. A
+    malformed tour may wrap inside an adder's bits; it is never marked, the
+    mirror clears it, and no gate writes above those bits."""
     D = inst.D
     customers = inst.customers
     to_first = max(D[0][v] for v in customers)

@@ -56,15 +56,6 @@ def run_block_on(layout, block, P, y):
     return eval_basis_int(host, state)
 
 
-def after_uniqueness(layout, block):
-    """``block`` run after the uniqueness chain: the pair lookups of the time
-    and cost chains read the in-range flags it computes."""
-    host = layout.empty_circuit()
-    host.extend(build_uniqueness(layout))
-    host.extend(block)
-    return host
-
-
 def reg_value(layout, state, ref):
     return (state >> ref.start) & ((1 << ref.width) - 1)
 
@@ -318,7 +309,7 @@ def test_time_chain_synthetic_examples():
         }
     )
     layout = build_layout(inst, 100)
-    block = after_uniqueness(layout, build_time_chain(layout))
+    block = build_time_chain(layout)
     state = run_block_on(layout, block, (1, 2), (0, 1))
     assert reg_value(layout, state, layout.clock[0]) == 5  # arrives at 5
     assert (state >> layout.waited.qubit(0)) & 1 == 1  # 5 < 8: waits
@@ -353,43 +344,49 @@ def test_time_chain_vacuous_windows_is_flags_only(vacuous3):
 
 
 def test_time_chain_matches_recurrence_exhaustively(window_bound3):
-    """Each clock holds the arrival, its window flag reads ``arrival <=
-    close`` and, before the last position, its wait flag ``arrival <
-    opening``; the next arrival starts from the departure, the later of the
-    two."""
+    """On every well-formed tour, under every split vector, each clock holds
+    the arrival, its window flag reads ``arrival <= close`` and, before the
+    last position, its wait flag ``arrival < opening``; the next arrival
+    starts from the departure, the later of the two. The chain runs alone
+    over every state, but only the tours whose codes are a permutation are
+    checked: the mark gate's ``valid_tour`` control keeps the others
+    unmarked, and the exhaustive equivalence scans check that."""
     inst = window_bound3
     layout = build_layout(inst, 100)
-    host = after_uniqueness(layout, build_time_chain(layout))
+    host = layout.empty_circuit()
+    host.extend(build_time_chain(layout))
     bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
     w = layout.widths.w_time
     n = inst.n
-    from_depot = [inst.T[0][v] if 1 <= v <= n else 0 for v in range(1 << layout.widths.b_node)]
+    checked = 0
     for s in range(count):
         P, y = unpack_assignment(n, layout.widths.b_node, s)
+        if sorted(P) != list(inst.customers):
+            continue
+        checked += 1
         regs = [int(register_values(out, layout.clock[i], count)[s]) for i in range(n)]
         oks = [(int(register_values(out, layout.time_ok, count)[s]) >> i) & 1 for i in range(n)]
         waits = [(int(register_values(out, layout.waited, count)[s]) >> i) & 1 for i in range(n - 1)]
         departure = 0
         for i in range(n):
-            open_at = inst.windows[P[i]][0] if 1 <= P[i] <= n else 0
-            close_at = inst.windows[P[i]][1] if 1 <= P[i] <= n else 0
+            open_at, close_at = inst.windows[P[i]]
             if i == 0 or y[i - 1]:
-                arrival = from_depot[P[i]]
+                arrival = inst.T[0][P[i]]
             else:
-                leg = inst.T[P[i - 1]][P[i]] if (1 <= P[i] <= n and 1 <= P[i - 1] <= n and P[i] != P[i - 1]) else 0
-                arrival = (departure + leg) % (1 << w)
+                arrival = (departure + inst.T[P[i - 1]][P[i]]) % (1 << w)
             departure = max(arrival, open_at)
             assert regs[i] == arrival, (P, y, i)
             assert oks[i] == (1 if arrival <= close_at else 0), (P, y, i)
             if i < n - 1:
                 assert waits[i] == (1 if arrival < open_at else 0), (P, y, i)
+    assert checked == 6 << n  # 3! tours, 2^3 split vectors
 
 
 def test_cost_accumulator_example_values(example6):
     layout = build_layout(example6, 272)
-    block = after_uniqueness(layout, build_cost_accumulator(layout))
+    block = build_cost_accumulator(layout)
     state = run_block_on(layout, block, (1, 2, 3, 4, 5, 6), (1,) * 6)
     assert reg_value(layout, state, layout.cost) == 272
     assert (state >> layout.cost_ok) & 1 == 0  # strict: 272 < 272 is false
@@ -414,11 +411,15 @@ def test_cost_threshold_zero_marks_nothing(vacuous3):
 
 def test_exit_leg_encoder_writes_one_table(mixed4):
     """Over every pair of 3-bit codes and both split values, exactly one of
-    the return leg and the direct leg lands in the pool."""
+    the return leg and the direct leg lands in the pool. The return leg is
+    exact on every code; the direct leg on distinct customers, and it writes
+    0 when the two codes are equal. Elsewhere (a code outside 1..n) it may
+    write anything: such a tour is never marked."""
     inst = mixed4
     layout = build_layout(inst, 100)
     out_ref = layout.pool.slice(0, layout.widths.w_cost)
-    host = after_uniqueness(layout, build_exit_leg_encoder(layout, 2, out_ref))
+    host = layout.empty_circuit()
+    host.extend(build_exit_leg_encoder(layout, 2, out_ref))
     bits = search_space(layout.inst).decision_bits
     count = 1 << bits
     out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
@@ -428,10 +429,11 @@ def test_exit_leg_encoder_writes_one_table(mixed4):
         P, y = unpack_assignment(inst.n, layout.widths.b_node, s)
         u, v = P[1], P[2]
         if y[1]:
-            expect = inst.D[u][0] if u in customers else 0
-        else:
-            expect = inst.D[u][v] if u in customers and v in customers and u != v else 0
-        assert pool[s] == expect, (P, y)
+            assert pool[s] == (inst.D[u][0] if u in customers else 0), (P, y)
+        elif u == v:
+            assert pool[s] == 0, (P, y)
+        elif u in customers and v in customers:
+            assert pool[s] == inst.D[u][v], (P, y)
 
 
 def test_example_oracle_structure(example6):
@@ -444,23 +446,23 @@ def test_example_oracle_structure(example6):
     builders = (build_uniqueness, build_capacity_chain, build_time_chain, build_cost_accumulator)
     chains = [b(layout) for b in builders]
     assert [len(c.gates) for c in chains] == [157, 246, 0, 1647]
-    assert [toffoli_cost(c) for c in chains] == [192, 246, 0, 9440]
+    assert [toffoli_cost(c) for c in chains] == [192, 246, 0, 9120]
     built = build_oracle(example6, 182)
     assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4101
     assert built.qubit_count == layout.qubit_count == 96
-    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 15458
+    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 15138
     # The mark gate has 14 controls: 2 * 14 - 3 Toffolis.
-    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 25 == 19781
+    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 25 == 19141
 
 
 @pytest.mark.parametrize(
     "name,k,gates,digest",
     [
         pytest.param(
-            "example6", 182, 4101, "ea96099cf408e9b38986e733469773a54e31db48c38c2f0a7ccffe62d4aaf921", id="example6-182"
+            "example6", 182, 4101, "a073efcdbeb21f2283eb44f8ca0ea32ff02f7e0e88cfa0af8b3c321345fb459e", id="example6-182"
         ),
         pytest.param(
-            "mixed4", 35, 2623, "e25d465a21c30f89ddc62355cc1581d092a29dcf4e870556928cf231893ad12f", id="mixed4-35"
+            "mixed4", 35, 2623, "b5c42a6bd3729797ca74fac4314b2337080b7935758a7e3316cd3adc303cfbc8", id="mixed4-35"
         ),
     ],
 )
@@ -478,12 +480,13 @@ def test_oracle_dump_pinned(name, k, gates, digest, request):
 # need the range of the other operand too: the first load, copied into the
 # pool as a whole register; the load, clock and cost registers, whose high
 # bits stay zero below their bounds; and the clock chain's wait flags and
-# departure steps, which depend on how the windows fall.
+# departure steps, which depend on how the windows fall and, on malformed
+# tours, on the legs the pair lookups write there.
 NEVER_FIRED = {
     "windowed_pair": [115, 118, 114],
     "cap_bound3": [23, 22, 22],
-    "window_bound3": [125, 124, 124],
-    "mixed4": [135, 134, 134],
+    "window_bound3": [123, 122, 122],
+    "mixed4": [143, 142, 142],
 }
 
 
@@ -515,6 +518,31 @@ FIXTURES = (
     "bound7",
     "bound8",
 )
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_load_time_and_cost_chains_leave_the_tour_flags_alone(name, request):
+    """The premise that lets the capacity, time and cost chains be exact only
+    on well-formed tours: none of their gates controls or targets a qubit of
+    ``in_range``, ``distinct`` or ``valid_tour``, and the mark gate, the only
+    gate on ``marked``, has ``valid_tour`` as a positive control. So a
+    malformed tour is never marked, whatever those chains write for it."""
+    inst = request.getfixturevalue(name)
+    opt = int(feasible_table(inst).costs.min())
+    for k in (0, opt + 1, 10**6):
+        layout = build_layout(inst, k)
+        flags = {layout.valid_tour, *layout.in_range.qubits()}
+        if layout.distinct is not None:
+            flags.update(layout.distinct.qubits())
+        for builder in (build_capacity_chain, build_time_chain, build_cost_accumulator):
+            for _, target, controls in builder(layout).gates:
+                assert not flags & {target, *(q for q, _ in controls)}, (builder.__name__, k)
+        on_marked = [
+            controls
+            for _, target, controls in build_oracle(inst, k).gates
+            if layout.marked in {target, *(q for q, _ in controls)}
+        ]
+        assert len(on_marked) == 1 and (layout.valid_tour, True) in on_marked[0], k
 
 
 @pytest.mark.parametrize("name", [*FIXTURES, *(f"zero_distance{n}" for n in range(4, 8))])
@@ -784,15 +812,21 @@ def _drop_gate_on(builder, qubit_of):
 
 
 def _drop_row_table_gate(builder):
-    """``builder`` without its first gate that an in-range flag controls: in
-    the time and cost chains, a gate of the ``S[idx_a]`` table of a pair
-    lookup."""
+    """``builder`` without its first gate that has a negative split control
+    and the code bits of one position only: in the cost chain, a gate of the
+    ``S[idx_a]`` table of a direct leg's lookup. The restart encoders have a
+    positive split control, and the residual reads two positions."""
 
     def faulty(layout):
         c = builder(layout)
-        flags = set(layout.in_range.qubits())
-        drop = min(i for i, g in enumerate(c.gates) if any(q in flags for q, _ in g.controls))
-        del c.gates[drop]
+        splits = set(layout.split.qubits())
+        positions = [set(ref.qubits()) for ref in layout.tour]
+
+        def one_row(gate):
+            codes = {q for q, _ in gate.controls if q not in splits}
+            return any((q, False) in gate.controls for q in splits) and codes in positions
+
+        del c.gates[min(i for i, g in enumerate(c.gates) if one_row(g))]
         return c
 
     return faulty

@@ -32,7 +32,6 @@ from cvrptw_gas.qarith import (
     build_lt_const,
     build_lt_register,
     build_max_with_const,
-    build_max_with_register,
     build_pair_matrix_encoder,
     build_pair_neq,
 )
@@ -293,11 +292,8 @@ def test_encoder_value_overflow():
     out_reg = host.add_register("out", 2)
     with pytest.raises(CircuitError, match=r"^table value 4 does not fit 2 bits$"):
         build_conditional_encoder(idx_reg, [0, 4], out_reg)
-    flags = host.add_register("flags", 2)
     with pytest.raises(CircuitError, match=r"^matrix value 5 does not fit 2 bits$"):
-        build_pair_matrix_encoder(
-            idx_reg.slice(0, 1), idx_reg.slice(1, 1), [[0, 5], [1, 0]], range(2), out_reg, in_range=tuple(flags.qubits())
-        )
+        build_pair_matrix_encoder(idx_reg.slice(0, 1), idx_reg.slice(1, 1), [[0, 5], [1, 0]], range(2), out_reg)
 
 
 def test_encoder_refuses_controls_on_its_output():
@@ -322,48 +318,45 @@ def test_encoder_refuses_controls_on_its_output():
 
 def pair_lookup(width, matrix, valid, out_width, polarities=()):
     """A host whose first ``2 * width`` qubits are the indices ``a`` and
-    ``b``, then one control qubit, and a block that computes the in-range
-    flags of both indices with table encoders and runs the pair lookup,
-    controlled by that qubit at each of ``polarities``."""
+    ``b``, then one control qubit, and the pair lookup controlled by that
+    qubit at each of ``polarities``."""
     host = Circuit()
     a = host.add_register("a", width)
     b = host.add_register("b", width)
     ctl = host.add_register("ctl", 1)
-    flags = host.add_register("in_range", 2)
     out_reg = host.add_register("out", out_width)
-    in_valid = [int(code in valid) for code in range(1 << width)]
-    block = Circuit(host.qubit_count)
-    block.extend(build_conditional_encoder(a, in_valid, flags.slice(0, 1)))
-    block.extend(build_conditional_encoder(b, in_valid, flags.slice(1, 1)))
-    lookup = build_pair_matrix_encoder(
-        a, b, matrix, valid, out_reg, in_range=tuple(flags.qubits()), controls=[(ctl.qubit(0), p) for p in polarities]
-    )
-    block.extend(lookup)
-    return host, block, lookup, (a, b, out_reg)
+    controls = [(ctl.qubit(0), p) for p in polarities]
+    lookup = build_pair_matrix_encoder(a, b, matrix, valid, out_reg, controls=controls, qubit_count=host.qubit_count)
+    return host, lookup, (a, b, out_reg)
 
 
 @pytest.mark.parametrize("polarity", [True, False])
 def test_pair_matrix_encoder_exhaustive(polarity):
     """``out ^= matrix[u][v]`` for distinct u, v in the valid range when the
-    control reads ``polarity``; every other input, repeated and out-of-range
-    codes included, leaves ``out`` zero. The matrix is a row/column sum plus
-    noise, so its lookup writes both one-index tables and a residual."""
+    control reads ``polarity``, 0 with the control off, and 0 when u == v.
+    A code outside the range may write anything. The matrix is a row/column
+    sum plus noise, so its lookup writes both one-index tables and a
+    residual."""
     rng = random.Random(int(polarity))
     base = [rng.randrange(16) for _ in range(8)]
     matrix = [[base[u] ^ base[v] ^ (rng.randrange(16) if rng.random() < 0.3 else 0) for v in range(8)] for u in range(8)]
     for u in range(8):
         matrix[u][u] = rng.randrange(16)  # never read
     valid = range(1, 7)
-    host, block, lookup, (a, b, out_reg) = pair_lookup(3, matrix, valid, 4, polarities=[polarity])
-    flags = set(host.registers["in_range"].qubits())
-    split = sum(any(q in flags for q, _ in g.controls) for g in lookup.gates)
+    host, lookup, (a, b, out_reg) = pair_lookup(3, matrix, valid, 4, polarities=[polarity])
+    # A gate of a one-index table reads the code bits of a or of b, not both.
+    index_a, index_b = set(a.qubits()), set(b.qubits())
+    reads = [{q for q, _ in g.controls} for g in lookup.gates]
+    split = sum(not (read & index_a and read & index_b) for read in reads)
     assert 0 < split < len(lookup.gates)
-    out, count = run_exhaustive(host, block, 7)
+    out, count = run_exhaustive(host, lookup, 7)
     got = register_values(out, out_reg, count)
     for s in range(count):
         u, v, fire = s & 7, (s >> 3) & 7, bool(s >> 6) == polarity
-        expect = matrix[u][v] if fire and u != v and u in valid and v in valid else 0
-        assert got[s] == expect, (u, v, s >> 6)
+        if not fire or u == v:
+            assert got[s] == 0, (u, v, s >> 6)
+        elif u in valid and v in valid:
+            assert got[s] == matrix[u][v], (u, v, s >> 6)
     assert (register_values(out, a, count) == np.arange(count) & 7).all()
     assert (register_values(out, b, count) == (np.arange(count) >> 3) & 7).all()
 
@@ -397,7 +390,7 @@ def test_pair_matrix_split_never_adds_gates(n):
         base = [rng.randrange(64) for _ in range(n + 1)]
         noise = lambda: rng.randrange(64) if rng.random() < 0.5 else 0
         matrix = [[(base[u] ^ base[v] if trial % 2 else 0) ^ noise() for v in range(n + 1)] for u in range(n + 1)]
-        _, _, lookup, _ = pair_lookup(width, matrix, valid, 6)
+        _, lookup, _ = pair_lookup(width, matrix, valid, 6)
         per_cell = sum(matrix[u][v].bit_count() for u in valid for v in valid if u != v)
         assert len(lookup.gates) <= per_cell
         if 2 <= n <= 4 and per_cell:
@@ -423,9 +416,9 @@ def test_pair_neq_exhaustive(width):
     assert (register_values(out, b, count) == b_in).all()
 
 
-# Operands of width 3, a narrower register and an ancilla one qubit short
+# An operand of width 3, a narrower register and an ancilla one qubit short
 # of what the constant gadgets need.
-_A, _B = RegisterRef("a", 0, 3), RegisterRef("b", 3, 3)
+_A = RegisterRef("a", 0, 3)
 _NARROW, _SHORT, _FLAG = RegisterRef("n", 6, 2), RegisterRef("anc", 8, 3), 11
 
 # name: (call that must be refused, its whole message as a pattern)
@@ -457,10 +450,6 @@ REFUSALS = {
     "lt register widths": (
         lambda: build_lt_register(_A, _NARROW, _FLAG, _SHORT),
         r"^comparator operands must have equal widths$",
-    ),
-    "max register widths": (
-        lambda: build_max_with_register(_A, _B, _FLAG, _NARROW, _SHORT),
-        r"^max operands and spill must share one width$",
     ),
     "pair inequality widths": (
         lambda: build_pair_neq(_A, _NARROW, _FLAG),
