@@ -285,8 +285,8 @@ def eval_basis_batch(c: Circuit, columns: list[int], count: int) -> list[int]:
 
     An AND of zero flips nothing and is not XORed in. The table encoders
     write one MCX per set bit of an entry, all sharing one controls tuple, so
-    runs are common: the 7,843 controlled gates of the benchmark's windowed
-    six-customer oracle at k=208 take 4,567 ANDs.
+    runs are common: the 7,755 controlled gates of the benchmark's windowed
+    six-customer oracle at k=208 take 4,503 ANDs.
     """
     if len(columns) != c.qubit_count:
         raise CircuitError("one column per qubit required")

@@ -20,12 +20,11 @@ and back, so it reads and restores the tour registers themselves.
 
 Two bookkeeping details go beyond the obvious translation of the recurrences:
 
-* The load and clock registers are sized for their *checked* maxima, but one
-  more chained addition can exceed that before the violation is caught, so
-  each chained adder writes its carry into a dedicated overflow flag. The
-  final AND requires every overflow flag clear (negative controls). Feasible
-  assignments never set one; the first infeasible step always trips either
-  the comparator or the carry.
+* Each chained load or clock adder writes its carry into an overflow flag,
+  and the final AND requires every one clear (negative controls). Each load
+  register holds the load plus ``2^w - 1 - c_max``, so the load flags are
+  the capacity check. A clock can pass its register's checked maximum
+  before a window check catches it; feasible assignments set no flag.
 * Each clock holds the arrival: no opening is past its close, so the
   arrival alone decides the window check. The departure, the base of the
   next arrival, is written out of place into the next clock, which is still
@@ -94,7 +93,6 @@ from .qarith import (
     build_adder,
     build_and_reduce,
     build_conditional_encoder,
-    build_leq_const,
     build_leq_register,
     build_lt_const,
     build_lt_register,
@@ -133,7 +131,6 @@ class OracleLayout:
     distinct: RegisterRef | None
     valid_tour: int
     load: tuple[RegisterRef, ...]
-    load_ok: RegisterRef
     load_overflow: RegisterRef | None
     # The four time registers are () or None when the windows are vacuous.
     clock: tuple[RegisterRef, ...]
@@ -153,8 +150,8 @@ class OracleLayout:
 def build_layout(inst: Instance, k: int) -> OracleLayout:
     """Allocate every register the chains use; same instance and threshold
     give identical indices. Vacuous windows allocate no time register, and
-    n = 1 no pair, overflow or wait flag. Raises :class:`LayoutError` for a
-    negative threshold."""
+    n = 1 no load, pair, overflow or wait register. Raises
+    :class:`LayoutError` for a negative threshold."""
     if k < 0:
         raise LayoutError("threshold must be nonnegative")
     n = inst.n
@@ -178,8 +175,7 @@ def build_layout(inst: Instance, k: int) -> OracleLayout:
         in_range=reg("in_range", n),
         distinct=reg("distinct", n * (n - 1) // 2) if n > 1 else None,
         valid_tour=reg("valid_tour", 1).qubit(0),
-        load=per_position("load", widths.w_cap),
-        load_ok=reg("load_ok", n),
+        load=per_position("load", widths.w_cap) if widths.w_cap else (),
         load_overflow=reg("load_overflow", n - 1) if n > 1 else None,
         clock=per_position("clock", widths.w_time) if timed else (),
         waited=reg("waited", n - 1) if timed and n > 1 else None,
@@ -248,22 +244,27 @@ def build_uniqueness(layout: OracleLayout) -> Circuit:
 
 
 def build_capacity_chain(layout: OracleLayout) -> Circuit:
-    """Per position: encode the demand, add the previous load unless the
-    previous split bit is set, then flag ``load <= capacity``."""
+    """Per position: encode the demand, plus the offset ``2^w - 1 - c_max``
+    at the first; then add the previous load if the previous split bit is
+    clear, else the offset, with the adder's carry into an overflow flag.
+    So each load register holds the route's load plus the offset, and no
+    demand passes the capacity: the carry is set exactly when the load
+    passes it, on a route whose earlier positions fit."""
     inst = layout.inst
-    n = inst.n
     w = layout.widths.w_cap
+    offset = (1 << w) - 1 - inst.c_max
     c = layout.empty_circuit()
-    demand = _customer_table(layout, lambda v: inst.q[v])
-    for i in range(n):
-        c.extend(build_conditional_encoder(layout.tour[i], demand, layout.load[i]))
+    for i, load in enumerate(layout.load):
+        demand = _customer_table(layout, lambda v: inst.q[v] + (0 if i else offset))
+        c.extend(build_conditional_encoder(layout.tour[i], demand, load))
         if i > 0:
-            carry_on = (layout.split.qubit(i - 1), False)
+            split = layout.split.qubit(i - 1)
             previous = layout.empty_circuit()
             for j in range(w):
-                previous.ccx(carry_on, (layout.load[i - 1].qubit(j), True), layout.pool.qubit(j))
-            _add_through_pool(c, layout, previous, layout.load[i], layout.load_overflow.qubit(i - 1))
-        c.extend(build_leq_const(layout.load[i], inst.c_max, layout.load_ok.qubit(i), layout.pool.slice(0, w + 1)))
+                previous.ccx((split, False), (layout.load[i - 1].qubit(j), True), layout.pool.qubit(j))
+                if offset >> j & 1:
+                    previous.cx(split, layout.pool.qubit(j))
+            _add_through_pool(c, layout, previous, load, layout.load_overflow.qubit(i - 1))
     return c
 
 
@@ -401,7 +402,6 @@ def _mark_controls(layout: OracleLayout) -> list[tuple[int, bool]]:
     n = layout.inst.n
     controls: list[tuple[int, bool]] = [(layout.valid_tour, True)]
     controls.append((layout.split.qubit(n - 1), True))  # last split bit must close the tour
-    controls.extend((layout.load_ok.qubit(i), True) for i in range(n))
     if layout.time_ok is not None:
         controls.extend((layout.time_ok.qubit(i), True) for i in range(n))
     controls.append((layout.cost_ok, True))

@@ -35,7 +35,7 @@ PLOT_ROW_CAP = 100_000
 @dataclass(frozen=True)
 class RegisterWidths:
     b_node: int  # bits per tour position
-    w_cap: int  # bits per load register
+    w_cap: int  # bits per load register; 0 for one customer
     w_time: int  # bits per clock register; 0 when the windows are vacuous
     w_cost: int  # bits of the cost accumulator
 
@@ -77,13 +77,13 @@ def max_clock_value(inst: Instance) -> int:
 def register_widths(inst: Instance) -> RegisterWidths:
     """Widths sized from the instance maxima.
 
-    The clock width comes from :func:`max_clock_value`, or is 0 when the
-    windows are vacuous and the layout has no clock; the load width comes
-    from the capacity, and the cost width from :func:`cost_register_bound`.
+    The clock width comes from :func:`max_clock_value`, or is 0 for vacuous
+    windows; the load width from the capacity, or 0 for one customer, whose
+    demand always fits; the cost width from :func:`cost_register_bound`.
     """
     return RegisterWidths(
         b_node=bits_for(inst.n),
-        w_cap=bits_for(inst.c_max),
+        w_cap=bits_for(inst.c_max) if inst.n > 1 else 0,
         w_time=0 if inst.windows_vacuous else bits_for(max_clock_value(inst)),
         w_cost=bits_for(cost_register_bound(inst)),
     )
@@ -93,13 +93,13 @@ def register_widths(inst: Instance) -> RegisterWidths:
 class QubitBudget:
     """Engineering qubit budget, component by component.
 
-    ``time`` is the n arrival clocks, a wait flag for every position but the
-    last and n window flags. ``ancilla`` covers the bookkeeping the chains
-    need beyond the named registers: one adder overflow flag per chained
-    addition in the load and clock chains (2 * (n - 1)), and the scratch
-    pool the load, clock and cost chains share (their widest register + 1
-    carry seed; the pair flags use no scratch). Without a time chain,
-    ``time`` is 0 and ``ancilla`` has no clock overflow flags.
+    ``capacity`` is the n load registers. ``time`` is the n arrival clocks,
+    a wait flag for every position but the last and n window flags.
+    ``ancilla`` covers one adder overflow flag per chained addition in the
+    load and clock chains (2 * (n - 1)), the load flags being the capacity
+    check, and the scratch pool the load, clock and cost chains share
+    (their widest register + 1 carry seed; the pair flags use no scratch).
+    Without a time chain, ``time`` is 0 and ``ancilla`` has no clock flags.
     """
 
     tour: int
@@ -125,12 +125,12 @@ def _require(least: int, **params: int) -> None:
 
 def qubit_budget(n: int, d_max: int, t_max: int | None, w_max: int) -> QubitBudget:
     """Integer budget with ceilings for given parameter maxima. Each width is
-    ``bits_for`` of its maximum, as in :func:`register_widths`, so a maximum
-    of 0 takes one bit; only ``n < 1`` or a negative maximum is refused.
-    ``t_max`` None means no time chain, as for vacuous windows."""
+    ``bits_for`` of its maximum, as in :func:`register_widths` (n = 1 has
+    no load register), so a maximum of 0 takes one bit; only ``n < 1`` or a
+    negative maximum is refused. ``t_max`` None means no time chain."""
     _require(1, n=n)
     _require(0, d_max=d_max, t_max=0 if t_max is None else t_max, w_max=w_max)
-    b_node, w_cap, w_cost = map(bits_for, (n, d_max, w_max))
+    b_node, w_cap, w_cost = bits_for(n), bits_for(d_max) if n > 1 else 0, bits_for(w_max)
     if t_max is None:
         w_time = time = clock_overflow = 0
     else:
@@ -142,7 +142,7 @@ def qubit_budget(n: int, d_max: int, t_max: int | None, w_max: int) -> QubitBudg
         tour=n * b_node,
         splits=n,
         all_different=n * (n - 1) // 2 + n + 1,
-        capacity=n * w_cap + n,
+        capacity=n * w_cap,
         time=time,
         cost=w_cost + 1,
         output=1,

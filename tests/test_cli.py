@@ -556,9 +556,9 @@ def test_resources_instance(capsys, example_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["widths"] == {"node": 3, "load": 3, "clock": 0, "cost": 9}
-    assert doc["budget"]["total"] == 96
+    assert doc["budget"]["total"] == 90
     assert doc["quoted_six_customer_qubits"] == 147
-    assert hashlib.sha256(out.encode()).hexdigest() == "227143b6ae8fb5366afcb75892dd5022d105090bb7d14e35b7381c94cc9508d0"
+    assert hashlib.sha256(out.encode()).hexdigest() == "7af42ec71a5c7252a54a482b1016121cdff19bfc158ea550efa8d069f268f192"
 
 
 def test_resources_csv(capsys):

@@ -3,6 +3,7 @@ oracle/predicate equivalence, and uncompute cleanliness."""
 
 import gc
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from cvrptw_gas.oracle import (
     equivalence_scan,
     mark_predicate,
 )
-from cvrptw_gas.qarith import build_adder
+from cvrptw_gas.qarith import build_adder, build_conditional_encoder
 from cvrptw_gas.resources import instance_budget, max_window_close, register_widths, toffoli_cost
 
 from support import (
@@ -111,14 +112,13 @@ REGISTER_TABLES = {
             ("distinct", 30, 15),
             ("valid_tour", 45, 1),
             *_per_position("load", 46, 3, 6),
-            ("load_ok", 64, 6),
-            ("load_overflow", 70, 5),
-            ("cost", 75, 9),
-            ("cost_ok", 84, 1),
-            ("marked", 85, 1),
-            ("pool", 86, 10),
+            ("load_overflow", 64, 5),
+            ("cost", 69, 9),
+            ("cost_ok", 78, 1),
+            ("marked", 79, 1),
+            ("pool", 80, 10),
         ],
-        (45, 84, 85, 96),
+        (45, 78, 79, 90),
     ),
     "mixed4": (
         35,
@@ -129,18 +129,17 @@ REGISTER_TABLES = {
             ("distinct", 20, 6),
             ("valid_tour", 26, 1),
             *_per_position("load", 27, 3, 4),
-            ("load_ok", 39, 4),
-            ("load_overflow", 43, 3),
-            *_per_position("clock", 46, 5, 4),
-            ("waited", 66, 3),
-            ("time_ok", 69, 4),
-            ("clock_overflow", 73, 3),
-            ("cost", 76, 7),
-            ("cost_ok", 83, 1),
-            ("marked", 84, 1),
-            ("pool", 85, 8),
+            ("load_overflow", 39, 3),
+            *_per_position("clock", 42, 5, 4),
+            ("waited", 62, 3),
+            ("time_ok", 65, 4),
+            ("clock_overflow", 69, 3),
+            ("cost", 72, 7),
+            ("cost_ok", 79, 1),
+            ("marked", 80, 1),
+            ("pool", 81, 8),
         ],
-        (26, 83, 84, 93),
+        (26, 79, 80, 89),
     ),
     "single_customer": (
         5,
@@ -149,14 +148,12 @@ REGISTER_TABLES = {
             ("split", 1, 1),
             ("in_range", 2, 1),
             ("valid_tour", 3, 1),
-            ("load1", 4, 2),
-            ("load_ok", 6, 1),
-            ("cost", 7, 4),
-            ("cost_ok", 11, 1),
-            ("marked", 12, 1),
-            ("pool", 13, 5),
+            ("cost", 4, 4),
+            ("cost_ok", 8, 1),
+            ("marked", 9, 1),
+            ("pool", 10, 5),
         ],
-        (3, 11, 12, 18),
+        (3, 8, 9, 15),
     ),
 }
 
@@ -166,8 +163,9 @@ def test_layout_register_table_pinned(name, request):
     """Register names, order, starts and widths, and the single-qubit flags:
     the dump pin covers the gates' qubit indices but not the names, which
     diagnostics read. Each layout field is the register of its name, n = 1
-    has no pair flags, overflow registers or wait flags, and vacuous windows
-    (the example and the single customer) have no time registers."""
+    has no load registers, pair flags, overflow registers or wait flags, and
+    vacuous windows (the example and the single customer) have no time
+    registers."""
     k, table, flags = REGISTER_TABLES[name]
     inst = request.getfixturevalue(name)
     layout = build_layout(inst, k)
@@ -176,14 +174,18 @@ def test_layout_register_table_pinned(name, request):
     regs = layout.registers
     n = inst.n
     timed = not inst.windows_vacuous
-    per_position = {"tour": "pos", "load": "load"}
+    per_position = {"tour": "pos"}
+    if n > 1:
+        per_position.update(load="load")
+    else:
+        assert layout.load == ()
     if timed:
         per_position.update(clock="clock")
     else:
         assert layout.clock == ()
     for field, prefix in per_position.items():
         assert getattr(layout, field) == tuple(regs[f"{prefix}{i}"] for i in range(1, n + 1))
-    singles = ("split", "in_range", "distinct", "load_ok", "load_overflow", "waited", "time_ok", "clock_overflow")
+    singles = ("split", "in_range", "distinct", "load_overflow", "waited", "time_ok", "clock_overflow")
     for field in (*singles, "cost", "pool"):
         assert getattr(layout, field) == regs.get(field)
     absent = set() if n > 1 else {"distinct", "load_overflow", "waited", "clock_overflow"}
@@ -246,56 +248,57 @@ def test_uniqueness_rejects_codes_beyond_range(example6):
 
 
 def test_capacity_chain_example_values(example6):
+    """Capacity 5 in 3 bits: each load register holds the load plus 2, so a
+    load of 5 fills the register and a load of 6 carries out of it."""
     layout = build_layout(example6, 300)
     block = build_capacity_chain(layout)
     state = run_block_on(layout, block, (1, 2, 3, 4, 5, 6), (1,) * 6)
-    assert [reg_value(layout, state, r) for r in layout.load] == [2, 3, 1, 3, 2, 3]
-    assert reg_value(layout, state, layout.load_ok) == 0b111111
+    assert [reg_value(layout, state, r) for r in layout.load] == [4, 5, 3, 5, 4, 5]
+    assert reg_value(layout, state, layout.load_overflow) == 0
 
     state = run_block_on(layout, block, (1, 2, 3, 4, 5, 6), (0, 1, 1, 1, 1, 1))
-    assert reg_value(layout, state, layout.load[1]) == 5  # 2 + 3 right at capacity
-    assert (state >> layout.load_ok.qubit(1)) & 1 == 1
+    assert reg_value(layout, state, layout.load[1]) == 7  # 2 + 3 right at capacity
+    assert reg_value(layout, state, layout.load_overflow) == 0
 
     state = run_block_on(layout, block, (2, 4, 1, 3, 5, 6), (0, 1, 1, 1, 1, 1))
-    assert reg_value(layout, state, layout.load[1]) == 6  # 3 + 3 over capacity
-    assert (state >> layout.load_ok.qubit(1)) & 1 == 0
+    assert reg_value(layout, state, layout.load[1]) == 0  # 3 + 3 over capacity wraps
+    assert reg_value(layout, state, layout.load_overflow) == 0b00001
 
 
-def test_capacity_chain_matches_recurrence_exhaustively(cap_bound3):
-    """Register values follow the modular recurrence with explicit carries,
-    and the flag conjunction equals true feasibility, for every assignment."""
-    inst = cap_bound3
-    layout = build_layout(inst, 100)
-    block = build_capacity_chain(layout)
-    host = layout.empty_circuit()
-    host.extend(block)
-    bits = search_space(layout.inst).decision_bits
-    count = 1 << bits
-    cols = enumeration_columns(bits) + [0] * (layout.qubit_count - bits)
-    out = eval_basis_batch(host, cols, count)
-    w = layout.widths.w_cap
-    n = inst.n
-    for s in range(count):
-        P, y = unpack_assignment(n, layout.widths.b_node, s)
-        regs = [int(register_values(out, layout.load[i], count)[s]) for i in range(n)]
-        oks = [(int(register_values(out, layout.load_ok, count)[s]) >> i) & 1 for i in range(n)]
-        ovs = [(int(register_values(out, layout.load_overflow, count)[s]) >> i) & 1 for i in range(n - 1)]
-        demand = lambda v: inst.q[v] if 1 <= v <= n else 0
-        reg_model, ov_model, true_loads = [], [], []
-        for i in range(n):
-            prev_reg = 0 if (i == 0 or y[i - 1]) else reg_model[-1]
-            total = demand(P[i]) + prev_reg
-            reg_model.append(total % (1 << w))
-            if i > 0:
-                ov_model.append(total >> w)
-            prev_true = 0 if (i == 0 or y[i - 1]) else true_loads[-1]
-            true_loads.append(demand(P[i]) + prev_true)
-        assert regs == reg_model, (P, y)
-        assert ovs == ov_model, (P, y)
-        assert oks == [1 if r <= inst.c_max else 0 for r in reg_model], (P, y)
-        circuit_ok = all(oks) and not any(ovs)
-        truth = all(v <= inst.c_max for v in true_loads)
-        assert circuit_ok == truth, (P, y)
+def test_capacity_chain_matches_recurrence_exhaustively(cap_bound3, mixed4):
+    """On every well-formed tour, under every split vector, each load
+    register holds the route's load plus ``2^w - 1 - c_max`` (0 on
+    ``cap_bound3``, 3 on ``mixed4``) while the route fits, and the overflow
+    flags read clear up to the first overload, which sets its own flag. So
+    no flag is set exactly when every load fits. Past the first overload
+    the register has wrapped and later flags may read anything: the mark is
+    already off. Only permutation tours are checked, as in the time chain's
+    test."""
+    for inst in (cap_bound3, mixed4):
+        layout = build_layout(inst, 100)
+        host = layout.empty_circuit()
+        host.extend(build_capacity_chain(layout))
+        bits = search_space(layout.inst).decision_bits
+        count = 1 << bits
+        out = eval_basis_batch(host, enumeration_columns(bits) + [0] * (layout.qubit_count - bits), count)
+        offset = (1 << layout.widths.w_cap) - 1 - inst.c_max
+        regs = [register_values(out, ref, count) for ref in layout.load]
+        flags = register_values(out, layout.load_overflow, count)
+        n = inst.n
+        overloads = 0
+        for P in itertools.permutations(inst.customers):
+            for y in itertools.product((0, 1), repeat=n):
+                s = pack_assignment(n, layout.widths.b_node, P, y)
+                load = 0
+                for i in range(n):
+                    load = inst.q[P[i]] + (0 if i == 0 or y[i - 1] else load)
+                    if i > 0:
+                        assert (int(flags[s]) >> (i - 1)) & 1 == (load > inst.c_max), (P, y, i)
+                    if load > inst.c_max:
+                        overloads += 1
+                        break
+                    assert regs[i][s] == load + offset, (P, y, i)
+        assert overloads > 0
 
 
 def test_time_chain_synthetic_examples():
@@ -320,13 +323,13 @@ def test_time_chain_synthetic_examples():
 
 def test_time_chain_vacuous_windows_always_pass(vacuous3):
     """Vacuous windows cannot reject a route, so no window check reaches the
-    mark gate: it takes the tour flag, the last split bit, n load flags, the
-    cost flag and n - 1 load overflow flags, 2n + 2 controls in all."""
+    mark gate: it takes the tour flag, the last split bit, the cost flag and
+    n - 1 load overflow flags, n + 2 controls in all."""
     n = vacuous3.n
     layout = build_layout(vacuous3, 100)
     built = build_oracle(vacuous3, 100)
     (mark,) = [g for g in built.gates if g.target == layout.marked]
-    assert len(mark.controls) == 2 * n + 2
+    assert len(mark.controls) == n + 2
     time_names = ("clock", "waited", "time_ok")
     time_qubits = {q for name, reg in layout.registers.items() if name.startswith(time_names) for q in reg.qubits()}
     assert not time_qubits & set(mark.controls)
@@ -445,24 +448,24 @@ def test_example_oracle_structure(example6):
     layout = build_layout(example6, 182)
     builders = (build_uniqueness, build_capacity_chain, build_time_chain, build_cost_accumulator)
     chains = [b(layout) for b in builders]
-    assert [len(c.gates) for c in chains] == [157, 246, 0, 1647]
-    assert [toffoli_cost(c) for c in chains] == [192, 246, 0, 9120]
+    assert [len(c.gates) for c in chains] == [157, 185, 0, 1647]
+    assert [toffoli_cost(c) for c in chains] == [192, 225, 0, 9120]
     built = build_oracle(example6, 182)
-    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 4101
-    assert built.qubit_count == layout.qubit_count == 96
-    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 15138
-    # The mark gate has 14 controls: 2 * 14 - 3 Toffolis.
-    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 25 == 19141
+    assert len(built.gates) == 2 * sum(len(c.gates) for c in chains) + 1 == 3979
+    assert built.qubit_count == layout.qubit_count == 90
+    assert sum(a * c for a, c in count_resources(built).mcx_by_arity.items()) == 15002
+    # The mark gate has 8 controls: 2 * 8 - 3 Toffolis.
+    assert toffoli_cost(built) == 2 * sum(toffoli_cost(c) for c in chains) + 13 == 19087
 
 
 @pytest.mark.parametrize(
     "name,k,gates,digest",
     [
         pytest.param(
-            "example6", 182, 4101, "a073efcdbeb21f2283eb44f8ca0ea32ff02f7e0e88cfa0af8b3c321345fb459e", id="example6-182"
+            "example6", 182, 3979, "eda6d0300d4e9eb3c1006e3fe7e779ce2f4111fdc8f3cdf1d2273a0c9b22857f", id="example6-182"
         ),
         pytest.param(
-            "mixed4", 35, 2623, "b5c42a6bd3729797ca74fac4314b2337080b7935758a7e3316cd3adc303cfbc8", id="mixed4-35"
+            "mixed4", 35, 2491, "eccae71555646c70e8393545f5e49819edcf4c8055287db07508dc25e2f3ab76", id="mixed4-35"
         ),
     ],
 )
@@ -483,10 +486,10 @@ def test_oracle_dump_pinned(name, k, gates, digest, request):
 # departure steps, which depend on how the windows fall and, on malformed
 # tours, on the legs the pair lookups write there.
 NEVER_FIRED = {
-    "windowed_pair": [115, 118, 114],
+    "windowed_pair": [87, 90, 86],
     "cap_bound3": [23, 22, 22],
     "window_bound3": [123, 122, 122],
-    "mixed4": [143, 142, 142],
+    "mixed4": [121, 120, 120],
 }
 
 
@@ -658,6 +661,21 @@ def test_oracle_single_customer_exhaustive(single_customer):
         report = equivalence_scan(inst, k)
         assert report.clean
         assert feasible_table(inst).count(k) == marked_total
+
+
+@pytest.mark.parametrize("c_max", range(1, 17))
+def test_oracle_exhaustive_at_every_load_offset(c_max):
+    """Capacities 1 to 16 give every load offset ``2^w - 1 - c_max`` of
+    widths 1 to 4 (0 to 7) and the widest of width 5 (15, at 16). One demand
+    fills the capacity and the other two sum to it (both pass it at capacity
+    1), so continuing routes both fit at the capacity and pass it."""
+    demands = [c_max, (c_max + 1) // 2, max(1, c_max // 2)]
+    distance = [[0, 3, 4, 5], [3, 0, 2, 4], [4, 2, 0, 3], [5, 4, 3, 0]]
+    inst = make_instance({"n": 3, "c_max": c_max, "distance": distance, "demands": demands})
+    table = feasible_table(inst)
+    assert 0 < table.count(10**6) < 24  # 3! tours times 4 split vectors
+    for k in (0, int(table.costs.min()) + 1, 10**6):
+        assert equivalence_scan(inst, k).clean, k
 
 
 def test_oracle_windowed_pair_exhaustive(windowed_pair):
@@ -874,6 +892,38 @@ def _narrow_first_cost_adder(builder):
     return faulty
 
 
+def _fresh_route_without_offset(builder):
+    """``builder`` without the CXs from a split bit into the pool: a route
+    that restarts at a later position adds no load offset."""
+
+    def faulty(layout):
+        c = builder(layout)
+        splits, pool = set(layout.split.qubits()), set(layout.pool.qubits())
+        c.gates = [g for g in c.gates if not (len(g.controls) == 1 and g.controls[0][0] in splits and g.target in pool)]
+        return c
+
+    return faulty
+
+
+def _first_load_without_offset(builder):
+    """``builder`` with the first load register holding the demand alone:
+    an encoder of ``(q + offset) XOR q`` before the chain cancels the
+    offset of the first position's table."""
+
+    def faulty(layout):
+        inst = layout.inst
+        offset = (1 << layout.widths.w_cap) - 1 - inst.c_max
+        table = [0] * (1 << layout.widths.b_node)
+        for v in inst.customers:
+            table[v] = (inst.q[v] + offset) ^ inst.q[v]
+        c = layout.empty_circuit()
+        c.extend(build_conditional_encoder(layout.tour[0], table, layout.load[0]))
+        c.extend(builder(layout))
+        return c
+
+    return faulty
+
+
 # name: (fixture, chain builder, faulty builder from the real one)
 FAULTS = {
     "uniqueness: drop the final AND": (
@@ -886,6 +936,8 @@ FAULTS = {
         "build_capacity_chain",
         lambda b: _with_table(b, "q", lambda q: (*q[:2], q[2] + 2, *q[3:])),
     ),
+    "capacity: fresh route without the offset": ("mixed4", "build_capacity_chain", _fresh_route_without_offset),
+    "capacity: first table without the offset": ("mixed4", "build_capacity_chain", _first_load_without_offset),
     "time: drop a window flag": (
         "mixed4",
         "build_time_chain",

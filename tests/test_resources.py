@@ -79,14 +79,14 @@ def test_budget_total_matches_layout_for_small_n(example6):
             }
         )
         assert instance_budget(inst).total == build_layout(inst, 10).qubit_count
-    assert instance_budget(example6).total == build_layout(example6, 272).qubit_count == 96
+    assert instance_budget(example6).total == build_layout(example6, 272).qubit_count == 90
     # All distances 0: the cost bound is 0, and a maximum of 0 takes one bit.
     zero = make_instance({"n": 2, "c_max": 3, "distance": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "demands": [1, 1]})
     assert cost_upper_bound(zero) == cost_register_bound(zero) == 0
-    assert instance_budget(zero).total == build_layout(zero, 0).qubit_count == 23
+    assert instance_budget(zero).total == build_layout(zero, 0).qubit_count == 21
     # Capacity 1 too: a tour code (3 bits) is wider than the load and cost
     # registers (1 bit), and the pool, which only their chains use, is 2.
-    for n, qubits in ((4, 43), (5, 55), (6, 68), (7, 82)):
+    for n, qubits in ((4, 39), (5, 50), (6, 62), (7, 75)):
         inst = zero_distance_instance(n)
         layout = build_layout(inst, 0)
         assert layout.widths.b_node == 3 and layout.pool.width == 2
@@ -102,7 +102,6 @@ COMPONENT = {
     "distinct": "all_different",
     "valid_tour": "all_different",
     "load": "capacity",
-    "load_ok": "capacity",
     "clock": "time",
     "waited": "time",
     "time_ok": "time",
@@ -166,15 +165,19 @@ def test_budget_total_matches_layout_on_random_instances():
     assert kinds == {False, True}
 
 
-def test_budget_dominates_figure_expression_at_desk_scale():
-    """The integer budget exceeds the smooth expression while bookkeeping
-    qubits (overflow flags, scratch) outweigh the pairwise-flag difference:
-    the budget allocates n(n-1)/2 inequality flags where the smooth
-    expression charges n^2, so beyond the crossover (n = 10 at these
-    parameters) the smooth curve overtakes the real allocation."""
-    for n in range(2, 10):
-        assert qubit_budget(n, 8, 8, 512).total >= figure_expression(n, 8, 8, 512)
-    assert qubit_budget(10, 8, 8, 512).total < figure_expression(10, 8, 8, 512)
+def test_budget_against_figure_expression_at_desk_scale():
+    """The integer budget against the smooth expression at d_max = t_max = 8
+    and w_max = 512. Bookkeeping qubits (overflow flags, scratch) keep the
+    budget above the expression up to n = 6. The budget allocates n(n-1)/2
+    inequality flags where the expression charges n^2, so the expression
+    passes it at n = 7, meets it at n = 8 and stays above it from n = 9.
+    Acceptance criterion 9 checks budget >= expression at n = 8, where the
+    two are equal."""
+    budgets = {n: qubit_budget(n, 8, 8, 512).total for n in range(2, 11)}
+    assert budgets == {2: 54, 3: 72, 4: 95, 5: 116, 6: 138, 7: 161, 8: 193, 9: 219, 10: 246}
+    figures = {n: figure_expression(n, 8, 8, 512) for n in budgets}
+    assert [n for n in budgets if budgets[n] < figures[n]] == [7, 9, 10]
+    assert figures[8] == pytest.approx(budgets[8], abs=1e-12)
     # asymptotically the real layout needs about half the smooth n^2 term
     assert qubit_budget(200, 8, 8, 512).total < figure_expression(200, 8, 8, 512)
 
